@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
     ZeroVarianceSignal,
 )
-from .signals import LagWindow, MultichannelRecording, TimeSeries, _lag_embed_array, lag_valid_slice
+from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view
 
 DECODER_FORMAT_VERSION = 1
 
@@ -76,7 +76,9 @@ class Decoder:
 
 def build_design(r: MultichannelRecording, w: LagWindow) -> np.ndarray:
     """Stacked lagged design matrix, channel-major lag-minor column order."""
-    return np.hstack([_lag_embed_array(ch.samples, w) for ch in r.channels])
+    sl = lag_valid_slice(r.n_samples, w)
+    view = lag_view(r.to_array(), sl.start + w.tau_min, sl.stop - sl.start, w.n_lags)
+    return view.reshape(view.shape[0], -1)
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float):

@@ -25,17 +25,13 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .signals import TimeSeries
+from .signals import TimeSeries, lag_view
 
 LN2 = math.log(2.0)
 
 #: Relative eigenvalue floor below which a covariance is treated as
 #: rank-deficient (the Gaussian information quantity diverges).
 _RANK_RTOL = 1e-12
-
-#: Jitter ladder, as fractions of mean diagonal, tried in order when a
-#: Cholesky factorization fails. Exhausting the ladder aborts.
-_JITTER_LADDER = (0.0, 1e-12, 1e-9, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -70,69 +66,59 @@ class EmbedSpec:
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """Empirical covariance with the jitter actually applied to make it
-    factorizable. ``matrix`` is symmetric and positive definite after jitter."""
+    """Empirical covariance that passed the rank check."""
 
     matrix: np.ndarray
     n_samples: int
-    jitter_applied: float
 
 
 def estimate_covariance(data: np.ndarray) -> CovEstimate:
     """Maximum-likelihood covariance (divide by n) of row-sample data,
-    symmetrized and jittered just enough to be Cholesky-factorizable.
+    symmetrized.
 
     Raises
     ------
     DegenerateCovariance
         If the covariance is numerically rank-deficient (a deterministic
-        linear dependence among columns) or cannot be factorized after the
-        jitter ladder.
+        linear dependence among columns).
     """
     n = data.shape[0]
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / n
     cov = 0.5 * (cov + cov.T)
-    _check_rank(cov)
-    jitter = _factorizable_jitter(cov)
-    if jitter > 0.0:
-        cov = cov + jitter * np.eye(cov.shape[0])
-    return CovEstimate(matrix=cov, n_samples=n, jitter_applied=jitter)
+    _check_rank(cov[None], ("the data",))
+    return CovEstimate(matrix=cov, n_samples=n)
 
 
-def _check_rank(cov: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[-1] <= 0.0 or eigs[0] < _RANK_RTOL * eigs[-1]:
+def _check_rank(covs: np.ndarray, names) -> None:
+    """Reject a (k, d, d) stack if a matrix has lambda_min < _RANK_RTOL * lambda_max,
+    naming the first; past this check, Cholesky of any principal submatrix succeeds."""
+    eigs = np.linalg.eigvalsh(covs)
+    bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
+    if bad.any():
         raise DegenerateCovariance(
-            "covariance is numerically rank-deficient; the Gaussian "
-            "information quantity diverges (deterministic dependence?)"
+            f"covariance of {names[int(np.argmax(bad))]} is numerically rank-deficient; "
+            "the Gaussian information quantity diverges (deterministic dependence?)"
         )
 
 
-def _factorizable_jitter(cov: np.ndarray) -> float:
-    scale = float(np.trace(cov)) / cov.shape[0]
-    for eps in _JITTER_LADDER:
+def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
+    """I(X; Y | C) in bits, clamped at zero, for each rank-checked covariance
+    of a (k, dim, dim) stack in [X, Y, C] column order."""
+    ic = np.arange(dx + dy, covs.shape[-1])
+    logdets = []
+    for idx in (np.r_[0:dx, ic], np.r_[dx : dx + dy, ic], ic, np.arange(covs.shape[-1])):
         try:
-            np.linalg.cholesky(cov + eps * scale * np.eye(cov.shape[0]))
-            return eps * scale
-        except np.linalg.LinAlgError:
-            continue
-    raise DegenerateCovariance("covariance not factorizable after jitter escalation")
-
-
-def _logdet_chol(cov: np.ndarray, idx: np.ndarray, jitter_scale: float) -> float:
-    """log-determinant of a principal submatrix via Cholesky with the shared
-    jitter ladder; ``jitter_scale`` is the mean diagonal of the full matrix."""
-    if idx.size == 0:
-        return 0.0
-    sub = cov[np.ix_(idx, idx)]
-    for eps in _JITTER_LADDER:
-        try:
-            chol = np.linalg.cholesky(sub + eps * jitter_scale * np.eye(idx.size))
-            return 2.0 * float(np.sum(np.log(np.diag(chol))))
-        except np.linalg.LinAlgError:
-            continue
-    raise DegenerateCovariance("submatrix not factorizable after jitter escalation")
+            chol = np.linalg.cholesky(covs[:, idx[:, None], idx])
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateCovariance(f"a covariance of {', '.join(names)} is singular") from exc
+        logdets.append(2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+    ld_xc, ld_yc, ld_c, ld_all = logdets
+    values = 0.5 * (ld_xc + ld_yc - ld_c - ld_all) / LN2
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DegenerateCovariance(f"non-finite determinant ratio for {names[int(np.argmin(finite))]}")
+    return np.where(values > 0.0, values, 0.0)
 
 
 def _as_block(b) -> np.ndarray:
@@ -169,46 +155,36 @@ def gaussian_cmi(
     TooFewSamples
         If fewer than ``dim + 2`` rows are supplied.
     """
-    x = _as_block(x_block)
-    y = _as_block(y_block)
-    blocks = [x, y]
-    if cond_block is not None:
-        c = _as_block(cond_block)
-        if c.shape[1] > 0:
-            blocks.append(c)
+    blocks = [_as_block(x_block), _as_block(y_block)]
+    if cond_block is not None and _as_block(cond_block).shape[1] > 0:
+        blocks.append(_as_block(cond_block))
     rows = {b.shape[0] for b in blocks}
     if len(rows) != 1:
         raise ShapeMismatch(f"blocks disagree in row count: {sorted(rows)}")
     n = rows.pop()
-    dx, dy = x.shape[1], y.shape[1]
-    dc = blocks[2].shape[1] if len(blocks) == 3 else 0
-    dim = dx + dy + dc
+    dx, dy = blocks[0].shape[1], blocks[1].shape[1]
+    dim = sum(b.shape[1] for b in blocks)
     if n < dim + 2:
         raise TooFewSamples(f"need at least dim+2 = {dim + 2} rows, got {n}")
 
     joint = np.concatenate(blocks, axis=1)
     if not np.all(np.isfinite(joint)):
         raise ShapeMismatch("blocks must be finite")
-    est = estimate_covariance(joint)
-    cov = est.matrix
-    scale = float(np.trace(cov)) / dim
-
-    ix = np.arange(dx)
-    iy = np.arange(dx, dx + dy)
-    ic = np.arange(dx + dy, dim)
-    ld_xc = _logdet_chol(cov, np.concatenate([ix, ic]), scale)
-    ld_yc = _logdet_chol(cov, np.concatenate([iy, ic]), scale)
-    ld_c = _logdet_chol(cov, ic, scale)
-    ld_all = _logdet_chol(cov, np.arange(dim), scale)
-    value = 0.5 * (ld_xc + ld_yc - ld_c - ld_all) / LN2
-    if not math.isfinite(value):
-        raise DegenerateCovariance("non-finite determinant ratio")
-    return max(0.0, value)
+    cov = estimate_covariance(joint).matrix
+    return float(_cmi_bits(cov[None], dx, dy, ("the data",))[0])
 
 
 def mutual_information(x_block: np.ndarray, y_block: np.ndarray) -> float:
     """Plug-in Gaussian mutual information I(X; Y) in bits."""
     return gaussian_cmi(x_block, y_block, None)
+
+
+def _te_columns(e: EmbedSpec) -> tuple[int, slice, slice, slice]:
+    """Width of the lag window that ends at time t, and the columns of the
+    source past, the target present and the target past within it."""
+    t0 = max(e.delay + e.source_history - 1, e.target_history)
+    source_past = slice(t0 + 1 - e.delay - e.source_history, t0 + 1 - e.delay)
+    return t0 + 1, source_past, slice(t0, t0 + 1), slice(t0 - e.target_history, t0)
 
 
 def te_blocks(
@@ -218,23 +194,67 @@ def te_blocks(
 
     For each valid time t: source at t-delay-source_history+1 .. t-delay,
     target at t, and target at t-target_history .. t-1. All three share the
-    same valid t set (truncation convention).
+    same valid t set (truncation convention). The blocks are read-only views.
     """
-    n = source.size
-    t0 = max(e.delay + e.source_history - 1, e.target_history)
-    m = n - t0
-    if m < 1:
-        raise SeriesTooShort(f"series of length {n} leaves no valid rows")
-    x = np.empty((m, e.source_history))
-    for j in range(e.source_history):
-        start = t0 - e.delay - e.source_history + 1 + j
-        x[:, j] = source[start : start + m]
-    cond = np.empty((m, e.target_history))
-    for j in range(e.target_history):
-        start = t0 - e.target_history + j
-        cond[:, j] = target[start : start + m]
-    y = target[t0 : t0 + m].reshape(-1, 1)
-    return x, y, cond
+    width, src, present, past = _te_columns(e)
+    rows = source.size - width + 1
+    if rows < 1:
+        raise SeriesTooShort(f"series of length {source.size} leaves no valid rows")
+    target_window = lag_view(target, 0, rows, width)
+    return lag_view(source, 0, rows, width)[:, src], target_window[:, present], target_window[:, past]
+
+
+def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
+    """Transfer entropies in bits for ``(i, j)`` index pairs of aligned series.
+
+    Entry ``p`` is :func:`transfer_entropy` from ``signals[i]`` to
+    ``signals[j]`` for ``pairs[p] == (i, j)``, on the valid rows of
+    :func:`te_blocks`. Each series' lag window is centred once and each Gram
+    block (a window with itself, or a source window with a target window)
+    is formed once; each pair's covariance is gathered from those blocks, so
+    its value does not depend on the other series passed. The rank check and
+    the log-determinants run batched over the pairs. Raises as
+    :func:`transfer_entropy` does; a ``DegenerateCovariance`` names the first
+    degenerate pair as ``source->target`` using ``names`` (default: labels).
+    """
+    names = [x.label for x in signals] if names is None else names
+    n = len(signals[0])
+    for name, x in zip(names, signals):
+        if len(x) != n or x.rate_hz != signals[0].rate_hz:
+            raise ShapeMismatch(f"{name} differs from {names[0]} in length or rate")
+    sh = e.source_history
+    dim = sh + e.target_history + 1
+    min_len = sh + e.target_history + e.delay + dim + 2
+    if n <= min_len:
+        raise SeriesTooShort(f"need more than {min_len} samples for this embedding, got {n}")
+
+    width, src, present, past = _te_columns(e)
+    tgt = np.r_[present, past]
+    rows = n - width + 1
+    windows = np.empty((len(signals), width, rows))
+    for i in {i for pair in pairs for i in pair}:
+        # the transposed lag window: row c is window column c over all rows
+        window = lag_view(signals[i].samples, 0, width, rows)
+        np.subtract(window, window.mean(axis=1, keepdims=True), out=windows[i])
+    grams = {}
+    covs = np.empty((len(pairs), dim, dim))
+    for p, (i, j) in enumerate(pairs):
+        for a, b in ((i, i), (i, j), (j, j)):
+            if (a, b) not in grams:
+                grams[a, b] = windows[a] @ windows[b].T
+        cross = grams[i, j][src][:, tgt]
+        covs[p, :sh, :sh] = grams[i, i][src, src]
+        covs[p, :sh, sh:] = cross
+        covs[p, sh:, :sh] = cross.T
+        covs[p, sh:, sh:] = grams[j, j][np.ix_(tgt, tgt)]
+    covs /= rows
+
+    labels = [f"TE {names[i]}->{names[j]}" for i, j in pairs]
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise DegenerateCovariance(f"covariance of {labels[int(np.argmin(finite))]} is not finite")
+    _check_rank(covs, labels)
+    return _cmi_bits(covs, sh, 1, labels)
 
 
 def transfer_entropy(source: TimeSeries, target: TimeSeries, e: EmbedSpec) -> float:
@@ -243,28 +263,20 @@ def transfer_entropy(source: TimeSeries, target: TimeSeries, e: EmbedSpec) -> fl
     The information the source's past (ending ``delay`` samples back,
     ``source_history`` samples long) carries about the target's present,
     conditioned on the target's own past (``target_history`` samples).
-    Estimated with :func:`gaussian_cmi` on row-aligned lag blocks.
+    A one-pair call of :func:`transfer_entropies`; equal to
+    ``gaussian_cmi(*te_blocks(...))`` up to rounding.
 
     Raises
     ------
+    ShapeMismatch
+        If the series differ in length or rate.
     SeriesTooShort
         If fewer than ``source_history + target_history + delay + dim + 2``
         samples are available.
+    DegenerateCovariance
+        If the covariance is not finite or numerically rank-deficient.
     """
-    if len(source) != len(target):
-        raise ShapeMismatch(
-            f"source length {len(source)} != target length {len(target)}"
-        )
-    if source.rate_hz != target.rate_hz:
-        raise ShapeMismatch("source and target rates differ")
-    dim = e.source_history + e.target_history + 1
-    min_len = e.source_history + e.target_history + e.delay + dim + 2
-    if len(source) <= min_len:
-        raise SeriesTooShort(
-            f"need more than {min_len} samples for this embedding, got {len(source)}"
-        )
-    x, y, cond = te_blocks(source.samples, target.samples, e)
-    return gaussian_cmi(x, y, cond)
+    return float(transfer_entropies((source, target), [(0, 1)], e)[0])
 
 
 def plug_in_bias(n_samples: int, dim_x: int, dim_y: int = 1) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .infotheory import EmbedSpec, transfer_entropy
+from .infotheory import EmbedSpec, transfer_entropies
 from .signals import MultichannelRecording, TimeSeries
 
 
@@ -99,21 +99,34 @@ def rate_e_to_shat(
     electrodes: MultichannelRecording, shat: TimeSeries, e: EmbedSpec
 ) -> tuple[float, str]:
     """Minimum over channels of the channel-to-reconstruction transfer entropy."""
-    tes = [transfer_entropy(ch, shat, e) for ch in electrodes.channels]
-    return _min_over_channels(tes, electrodes.labels)
+    k = len(electrodes.channels)
+    signals, names = (*electrodes.channels, shat), (*electrodes.labels, "Shat")
+    tes = transfer_entropies(signals, [(c, k) for c in range(k)], e, names)
+    return _min_over_channels(tes.tolist(), electrodes.labels)
 
 
 def rate_s_to_e(
     s: TimeSeries, electrodes: MultichannelRecording, e: EmbedSpec
 ) -> tuple[float, str]:
     """Minimum over channels of the stimulus-to-channel transfer entropy."""
-    tes = [transfer_entropy(s, ch, e) for ch in electrodes.channels]
-    return _min_over_channels(tes, electrodes.labels)
+    signals, names = (s, *electrodes.channels), ("S", *electrodes.labels)
+    tes = transfer_entropies(signals, [(0, c) for c in range(1, len(signals))], e, names)
+    return _min_over_channels(tes.tolist(), electrodes.labels)
 
 
 def rate_s_to_shat(s: TimeSeries, shat: TimeSeries, e: EmbedSpec) -> float:
     """Stimulus-to-reconstruction transfer entropy."""
-    return transfer_entropy(s, shat, e)
+    return float(transfer_entropies((s, shat), [(0, 1)], e, ("S", "Shat"))[0])
+
+
+def _bound_tes(driver, relays, target, e, names):
+    """Driver-to-target, each relay-to-target and driver-to-each-relay
+    transfer entropies from one kernel call; ``names`` = (driver, target)."""
+    k = len(relays.channels)
+    pairs = [(0, 1), *((c, 1) for c in range(2, k + 2)), *((0, c) for c in range(2, k + 2))]
+    signals = (driver, target, *relays.channels)
+    tes = transfer_entropies(signals, pairs, e, (*names, *relays.labels)).tolist()
+    return tes[0], tes[1 : k + 1], tes[k + 1 :]
 
 
 def directed_redundancy_bound(
@@ -125,20 +138,14 @@ def directed_redundancy_bound(
     subject_id: str = "",
     trial_id: str = "",
 ) -> RateBundle:
-    """All three rates, their argmin channels, and the exact minimum."""
-    r_ss = rate_s_to_shat(s, shat, e)
-    r_es, argmin_es = rate_e_to_shat(electrodes, shat, e)
-    r_se, argmin_se = rate_s_to_e(s, electrodes, e)
+    """All three rates, their argmin channels, and the exact minimum, from
+    one transfer-entropy kernel call; a degenerate transfer entropy is named
+    as ``S->Shat``, ``<channel>->Shat`` or ``S-><channel>``."""
+    r_ss, te_es, te_se = _bound_tes(s, electrodes, shat, e, ("S", "Shat"))
+    r_es, argmin_es = _min_over_channels(te_es, electrodes.labels)
+    r_se, argmin_se = _min_over_channels(te_se, electrodes.labels)
     return bundle_from_rates(
-        r_s_to_shat=r_ss,
-        r_e_to_shat=r_es,
-        r_s_to_e=r_se,
-        argmin_e_to_shat=argmin_es,
-        argmin_s_to_e=argmin_se,
-        condition=condition,
-        subject_id=subject_id,
-        trial_id=trial_id,
-        embed=e,
+        r_ss, r_es, r_se, argmin_es, argmin_se, condition, subject_id, trial_id, e
     )
 
 
@@ -153,9 +160,8 @@ def causal_redundancy_bound(
     Minimum of: driver-to-target transfer entropy, driver-to-each-relay, and
     each-relay-to-target. Returns the bound and every term by name.
     """
-    terms = {"te_driver_to_target": transfer_entropy(driver, target, e)}
-    for ch in relays.channels:
-        terms[f"te_driver_to_{ch.label}"] = transfer_entropy(driver, ch, e)
-    for ch in relays.channels:
-        terms[f"te_{ch.label}_to_target"] = transfer_entropy(ch, target, e)
+    te_dt, te_rt, te_dr = _bound_tes(driver, relays, target, e, ("driver", "target"))
+    terms = {"te_driver_to_target": te_dt}
+    terms.update((f"te_driver_to_{lab}", v) for lab, v in zip(relays.labels, te_dr))
+    terms.update((f"te_{lab}_to_target", v) for lab, v in zip(relays.labels, te_rt))
     return min(terms.values()), terms

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, hilbert, sosfilt
 
 from .errors import (
@@ -261,18 +262,14 @@ def lag_embed(x: TimeSeries, w: LagWindow) -> np.ndarray:
     WindowTooLarge
         If no valid rows remain.
     """
-    return _lag_embed_array(x.samples, w)
+    sl = lag_valid_slice(len(x), w)
+    return lag_view(x.samples, sl.start + w.tau_min, sl.stop - sl.start, w.n_lags).copy()
 
 
-def _lag_embed_array(samples: np.ndarray, w: LagWindow) -> np.ndarray:
-    n = samples.size
-    sl = lag_valid_slice(n, w)
-    m = sl.stop - sl.start
-    out = np.empty((m, w.n_lags), dtype=np.float64)
-    for k in range(w.n_lags):
-        start = sl.start + w.tau_min + k
-        out[:, k] = samples[start : start + m]
-    return out
+def lag_view(samples: np.ndarray, start: int, rows: int, width: int) -> np.ndarray:
+    """Read-only view whose entry ``[i, ..., k]`` is ``samples[start + i + k, ...]``
+    for ``i < rows`` and ``k < width``; trailing (channel) axes sit between."""
+    return sliding_window_view(samples[start : start + rows + width - 1], width, axis=0)
 
 
 def select_channels(r: MultichannelRecording, labels) -> MultichannelRecording:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import DegenerateCovariance, ShapeMismatch, UnstableModel
-from .infotheory import LN2, EmbedSpec
+from .infotheory import LN2, EmbedSpec, _te_columns
 from .signals import LEFT_TEMPORAL_LABELS, MultichannelRecording, TimeSeries
 
 RNG_ALGORITHM = "philox4x64-10"
@@ -148,32 +148,15 @@ def analytic_te(model: VarModel, source_idx: int, target_idx: int, e: EmbedSpec)
     target past) for the embedding from the Lyapunov solution and its lag
     covariances, then evaluates the Gaussian CMI in closed form.
     """
+    # the estimator's window layout; window column c is time offset c - width + 1
+    width, source_past, present, target_past = _te_columns(e)
+    cols = np.r_[source_past, present, target_past]
+    coords = np.repeat([source_idx, target_idx], [e.source_history, e.target_history + 1])
     sigma0 = stationary_covariance(model)
-    # (coordinate, time offset) layout: source offsets end at -delay,
-    # then target at 0, then target offsets -target_history .. -1.
-    coords = []
-    offsets = []
-    for j in range(e.source_history):
-        coords.append(source_idx)
-        offsets.append(-(e.delay + e.source_history - 1) + j)
-    coords.append(target_idx)
-    offsets.append(0)
-    for j in range(e.target_history):
-        coords.append(target_idx)
-        offsets.append(-e.target_history + j)
-
-    max_h = max(offsets) - min(offsets)
-    gammas = {0: sigma0}
-    for h in range(1, max_h + 1):
-        gammas[h] = model.transition @ gammas[h - 1]
-
-    dim = len(coords)
-    cov = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            h = offsets[i] - offsets[j]
-            g = gammas[h] if h >= 0 else gammas[-h].T
-            cov[i, j] = g[coords[i], coords[j]]
+    lagged = np.stack([lag_covariance(model, sigma0, h) for h in range(width)])
+    h = cols[:, None] - cols[None, :]
+    ci, cj = coords[:, None], coords[None, :]
+    cov = np.where(h >= 0, lagged[np.abs(h), ci, cj], lagged[np.abs(h), cj, ci])
     cov = 0.5 * (cov + cov.T)
     return _exact_gaussian_cmi_bits(cov, dx=e.source_history, dy=1)
 

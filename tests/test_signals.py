@@ -196,6 +196,22 @@ class TestLagEmbed:
         with pytest.raises(ShapeMismatch):
             LagWindow(2, 1)
 
+    def test_matches_column_by_column_construction(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            n = int(rng.integers(20, 300))
+            lo = int(rng.integers(-8, 5))
+            w = LagWindow(lo, lo + int(rng.integers(0, 9)))
+            x = rng.standard_normal(n)
+            sl = lag_valid_slice(n, w)
+            m = sl.stop - sl.start
+            expected = np.column_stack(
+                [x[sl.start + w.tau_min + k : sl.start + w.tau_min + k + m] for k in range(w.n_lags)]
+            )
+            out = lag_embed(ts(x), w)
+            assert np.array_equal(out, expected)
+            assert out.flags.writeable
+
 
 class TestSelectChannels:
     def _recording(self, n_channels=64, n=16):
