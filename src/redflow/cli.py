@@ -49,7 +49,7 @@ from .errors import (
     UnstableModel,
     ZeroVarianceSignal,
 )
-from .infotheory import EmbedSpec, plug_in_bias
+from .infotheory import EmbedSpec, _te_columns, plug_in_bias
 from .redundancy import directed_redundancy_bound
 from .signals import LEFT_TEMPORAL_LABELS, LagWindow
 
@@ -285,9 +285,9 @@ def _by_subject(trials) -> dict:
 def train_decoders(config: RunConfig, trials, conditions) -> dict:
     """Cross-validated decoder per (subject, condition).
 
-    Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. The
-    per-trial design matrices are built once per trial and shared across
-    conditions.
+    Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
+    trial's design is built once, for all conditions, and only its
+    sufficient statistics are kept.
     """
     window = config.lag_window()
     out = {}
@@ -297,19 +297,9 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
         for trial in subject_trials:
             eeg = _prep_eeg(config, trial.eeg)
             labels = eeg.labels
-            design = decoder.build_design(eeg, window)
-            gram = design.T @ design
-            valid = signals.lag_valid_slice(eeg.n_samples, window)
-            for condition in conditions:
-                stim = signals.normalize(_stimulus(trial, condition))
-                if len(stim) != eeg.n_samples:
-                    raise DataError(
-                        f"{subject}/{trial.trial_id}: stimulus length mismatch"
-                    )
-                target = stim.samples[valid]
-                per_cond[condition].append(
-                    decoder.TrialStats(gram, design.T @ target, design, target)
-                )
+            stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
+            for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
+                per_cond[condition].append(stats)
         for condition in conditions:
             best_lam, mean_rho = decoder.cross_validate_stats(
                 per_cond[condition], config.lambda_grid
@@ -373,7 +363,7 @@ def _rate_one_trial(config, trial, condition, dec, eeg, electrodes, valid, embed
         stim_valid, electrodes, shat, embed,
         condition=condition, subject_id=trial.subject_id, trial_id=trial.trial_id,
     )
-    n_te_rows = len(shat) - max(embed.delay + embed.source_history - 1, embed.target_history)
+    n_te_rows = len(shat) - _te_columns(embed)[0] + 1
     record = bundle.to_dict()
     record["rho"] = rho
     record["distortion"] = dist

@@ -33,18 +33,13 @@ DECODER_FORMAT_VERSION = 1
 #: Relative rank tolerance for the unregularized normal equations.
 _RANK_RTOL = 1e-10
 
-#: Each solve failure adds this fraction of the mean diagonal, at most 3 times.
-_SOLVE_JITTER = 1e-10
-_MAX_ESCALATIONS = 3
-
 
 @dataclass(frozen=True, eq=False)
 class Decoder:
     """Trained backward model.
 
     ``weights[i, c]`` is the coefficient for lag ``lag_window.tau_min + i``
-    of channel ``channel_labels[c]``. ``solver_jitter`` records any diagonal
-    loading the solver needed (0.0 in the usual case).
+    of channel ``channel_labels[c]``.
     """
 
     weights: np.ndarray
@@ -52,7 +47,6 @@ class Decoder:
     lam: float
     channel_labels: tuple
     train_rate_hz: float
-    solver_jitter: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -81,14 +75,13 @@ def build_design(r: MultichannelRecording, w: LagWindow) -> np.ndarray:
     return view.reshape(view.shape[0], -1)
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float):
-    """Symmetric solve of (gram + lam I) g = rhs with jitter escalation.
+def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Cholesky solve of (gram + lam I) g = rhs.
 
-    Returns (solution, jitter_applied). Raises SingularSystem when lam == 0
-    and the Gram matrix is rank-deficient beyond tolerance, or when the
-    factorization keeps failing after escalation.
+    Raises SingularSystem when lam == 0 and the Gram matrix is rank-deficient
+    beyond tolerance, or when the factorization fails (a lam too small to
+    lift an exact rank deficiency). No jitter is ever added.
     """
-    dim = gram.shape[0]
     if lam < 0:
         raise ShapeMismatch(f"lambda must be >= 0, got {lam}")
     if lam == 0.0:
@@ -98,18 +91,15 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float):
                 "normal equations are rank-deficient at lambda=0 "
                 f"(relative conditioning {eigs[0] / max(eigs[-1], 1e-300):.2e})"
             )
-    lhs = gram + lam * np.eye(dim)
-    scale = float(np.trace(lhs)) / dim
-    jitter = 0.0
-    for _ in range(_MAX_ESCALATIONS + 1):
-        try:
-            cho = scipy.linalg.cho_factor(
-                lhs + jitter * np.eye(dim), lower=True, check_finite=False
-            )
-            return scipy.linalg.cho_solve(cho, rhs, check_finite=False), jitter
-        except scipy.linalg.LinAlgError:
-            jitter += _SOLVE_JITTER * scale
-    raise SingularSystem("normal equations not factorizable after jitter escalation")
+    try:
+        cho = scipy.linalg.cho_factor(
+            gram + lam * np.eye(gram.shape[0]), lower=True, check_finite=False
+        )
+    except scipy.linalg.LinAlgError:
+        raise SingularSystem(
+            f"normal equations are not positive definite at lambda={lam!r}"
+        ) from None
+    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
 
 
 def train(
@@ -124,26 +114,10 @@ def train(
     ShapeMismatch
         If recording and stimulus disagree in rate or length.
     SingularSystem
-        If ``lam == 0`` and the normal equations are rank-deficient.
+        If ``lam == 0`` and the normal equations are rank-deficient, or if
+        ``lam`` is too small for the factorization to succeed.
     """
-    if s.rate_hz != r.rate_hz:
-        raise ShapeMismatch(f"stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
-    if len(s) != r.n_samples:
-        raise ShapeMismatch(f"stimulus length {len(s)} != recording length {r.n_samples}")
-    design = build_design(r, w)
-    target = s.samples[lag_valid_slice(r.n_samples, w)]
-    gram = design.T @ design
-    rhs = design.T @ target
-    flat, jitter = _solve_normal_equations(gram, rhs, lam)
-    weights = flat.reshape(len(r.channels), w.n_lags).T
-    return Decoder(
-        weights=weights,
-        lag_window=w,
-        lam=float(lam),
-        channel_labels=r.labels,
-        train_rate_hz=r.rate_hz,
-        solver_jitter=jitter,
-    )
+    return train_pooled_stats(trial_stats(r, [s], w), w, lam, r.labels, r.rate_hz)
 
 
 def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
@@ -169,16 +143,6 @@ def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
     return TimeSeries("reconstruction", r.rate_hz, design @ d.flat_weights)
 
 
-def _raw_pearson(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    na = float(np.sqrt(np.dot(da, da)))
-    nb = float(np.sqrt(np.dot(db, db)))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVarianceSignal("pearson undefined for a constant signal")
-    return float(np.dot(da, db) / (na * nb))
-
-
 def pearson(a: TimeSeries, b: TimeSeries) -> float:
     """Empirical Pearson correlation of two equal-length series.
 
@@ -191,26 +155,76 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
         raise ShapeMismatch(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ShapeMismatch("need at least 2 samples")
-    return _raw_pearson(a.samples, b.samples)
+    da = a.samples - a.samples.mean()
+    db = b.samples - b.samples.mean()
+    na = float(np.sqrt(np.dot(da, da)))
+    nb = float(np.sqrt(np.dot(db, db)))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVarianceSignal("pearson undefined for a constant signal")
+    return float(np.dot(da, db) / (na * nb))
 
 
 @dataclass(frozen=True, eq=False)
 class TrialStats:
-    """Sufficient statistics of one trial for normal-equation accumulation."""
+    """Sufficient statistics of one trial's design D and target y.
+
+    ``gram`` is D'D, ``rhs`` is D'y, ``col_sums`` the column sums of D,
+    ``target_sum`` the sum of y, ``target_css`` its centred sum of squares
+    and ``n`` the number of rows. They suffice both to accumulate the normal
+    equations and to score any decoder g on the trial by Pearson correlation.
+    """
 
     gram: np.ndarray
     rhs: np.ndarray
-    design: np.ndarray
-    target: np.ndarray
+    col_sums: np.ndarray
+    target_sum: float
+    target_css: float
+    n: int
 
 
-def trial_stats(r: MultichannelRecording, s: TimeSeries, w: LagWindow) -> TrialStats:
-    """Design, truncated target, and their normal-equation pieces."""
-    if s.rate_hz != r.rate_hz or len(s) != r.n_samples:
-        raise ShapeMismatch(f"trial {r.trial_id!r}: stimulus does not match recording")
+def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> list:
+    """One :class:`TrialStats` per stimulus, on one shared design.
+
+    The design, its Gram and its column sums are built once for the
+    recording; each stimulus is truncated to the design's valid rows.
+
+    Raises
+    ------
+    ShapeMismatch
+        If a stimulus disagrees with the recording in rate or length.
+    """
+    where = f"subject {r.subject_id!r}, trial {r.trial_id!r}"
+    for s in stimuli:
+        if s.rate_hz != r.rate_hz:
+            raise ShapeMismatch(f"{where}: stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
+        if len(s) != r.n_samples:
+            raise ShapeMismatch(
+                f"{where}: stimulus length {len(s)} != recording length {r.n_samples}"
+            )
     design = build_design(r, w)
-    target = s.samples[lag_valid_slice(r.n_samples, w)]
-    return TrialStats(design.T @ design, design.T @ target, design, target)
+    gram = design.T @ design
+    col_sums = design.sum(axis=0)
+    valid = lag_valid_slice(r.n_samples, w)
+    out = []
+    for s in stimuli:
+        target = s.samples[valid]
+        centred = target - target.mean()
+        out.append(TrialStats(
+            gram, design.T @ target, col_sums,
+            float(target.sum()), float(np.dot(centred, centred)), target.size,
+        ))
+    return out
+
+
+def _held_out_rho(st: TrialStats, g: np.ndarray) -> float:
+    """Pearson correlation of the prediction D g with y, from the trial's
+    statistics: sum(p) = col_sums.g, sum(p^2) = g'Gg, sum(p y) = g'rhs."""
+    sum_p = float(st.col_sums @ g)
+    css_p = float(g @ st.gram @ g) - sum_p * sum_p / st.n
+    cross = float(g @ st.rhs) - sum_p * st.target_sum / st.n
+    if css_p <= 0.0 or st.target_css == 0.0:
+        raise ZeroVarianceSignal("pearson undefined for a constant signal")
+    return cross / float(np.sqrt(css_p * st.target_css))
 
 
 def select_best_lambda(lambdas, mean_rho) -> float:
@@ -220,7 +234,11 @@ def select_best_lambda(lambdas, mean_rho) -> float:
 
 
 def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
-    """Leave-one-trial-out ridge selection on precomputed trial statistics."""
+    """Leave-one-trial-out ridge selection on per-trial statistics.
+
+    Each fold solves the normal equations of the other trials and scores the
+    held-out trial from its own statistics; no design matrix is needed.
+    """
     stats = list(stats)
     lambdas = [float(v) for v in lambdas]
     if len(stats) < 2:
@@ -231,10 +249,10 @@ def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
     rhs_total = sum(st.rhs for st in stats)
     mean_rho = []
     for lam in lambdas:
-        rhos = []
-        for st in stats:
-            flat, _ = _solve_normal_equations(gram_total - st.gram, rhs_total - st.rhs, lam)
-            rhos.append(_raw_pearson(st.design @ flat, st.target))
+        rhos = [
+            _held_out_rho(st, _solve_normal_equations(gram_total - st.gram, rhs_total - st.rhs, lam))
+            for st in stats
+        ]
         mean_rho.append(float(np.mean(rhos)))
     return select_best_lambda(lambdas, mean_rho), mean_rho
 
@@ -253,8 +271,7 @@ def cross_validate(trials, w: LagWindow, lambdas) -> tuple[float, list]:
     InsufficientTrials
         If fewer than 2 trials are supplied.
     """
-    stats = [trial_stats(r, s, w) for r, s in trials]
-    return cross_validate_stats(stats, lambdas)
+    return cross_validate_stats([trial_stats(r, [s], w)[0] for r, s in trials], lambdas)
 
 
 def train_pooled_stats(
@@ -266,7 +283,7 @@ def train_pooled_stats(
         raise InsufficientTrials("no trials to train on")
     gram = sum(st.gram for st in stats)
     rhs = sum(st.rhs for st in stats)
-    flat, jitter = _solve_normal_equations(gram, rhs, lam)
+    flat = _solve_normal_equations(gram, rhs, lam)
     weights = flat.reshape(len(channel_labels), w.n_lags).T
     return Decoder(
         weights=weights,
@@ -274,18 +291,7 @@ def train_pooled_stats(
         lam=float(lam),
         channel_labels=tuple(channel_labels),
         train_rate_hz=rate_hz,
-        solver_jitter=jitter,
     )
-
-
-def train_pooled(trials, w: LagWindow, lam: float) -> Decoder:
-    """Fit one decoder on the accumulated normal equations of several trials."""
-    trials = list(trials)
-    if not trials:
-        raise InsufficientTrials("no trials to train on")
-    stats = [trial_stats(r, s, w) for r, s in trials]
-    r0 = trials[0][0]
-    return train_pooled_stats(stats, w, lam, r0.labels, r0.rate_hz)
 
 
 def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:
@@ -303,7 +309,6 @@ def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:
         "lambda": d.lam,
         "channel_labels": list(d.channel_labels),
         "rate_hz": d.train_rate_hz,
-        "solver_jitter": d.solver_jitter,
     }
     if extra_meta:
         doc["meta"] = extra_meta
@@ -329,5 +334,4 @@ def load_decoder(path) -> Decoder:
         lam=float(doc["lambda"]),
         channel_labels=tuple(doc["channel_labels"]),
         train_rate_hz=float(doc["rate_hz"]),
-        solver_jitter=float(doc.get("solver_jitter", 0.0)),
     )

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
 
 from .errors import DegenerateCovariance, ShapeMismatch, UnstableModel
@@ -96,17 +97,10 @@ class VarModel:
         return self.spectral_radius_of(self.transition)
 
 
-def stationary_covariance(model: VarModel, tol: float = 1e-14, max_iter: int = 200000) -> np.ndarray:
-    """Solve S = A S A' + Q by fixed-point iteration to ``tol`` (max-norm)."""
-    a, q = model.transition, model.noise_cov
-    sigma = q.copy()
-    for _ in range(max_iter):
-        nxt = a @ sigma @ a.T + q
-        delta = float(np.max(np.abs(nxt - sigma)))
-        sigma = nxt
-        if delta < tol:
-            return 0.5 * (sigma + sigma.T)
-    raise UnstableModel("Lyapunov fixed-point iteration did not converge")
+def stationary_covariance(model: VarModel) -> np.ndarray:
+    """Solve the discrete Lyapunov equation S = A S A' + Q (symmetrised)."""
+    sigma = solve_discrete_lyapunov(model.transition, model.noise_cov)
+    return 0.5 * (sigma + sigma.T)
 
 
 def lag_covariance(model: VarModel, sigma0: np.ndarray, h: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Ridge decoder training, reconstruction, correlation, cross-validation."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from redflow import decoder
 from redflow.decoder import (
@@ -110,6 +113,28 @@ class TestTrain:
                 for lam in (10.0**k for k in range(-6, 7))
             ]
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+    def test_equals_direct_cholesky_solve(self):
+        rng = np.random.default_rng(7)
+        for w, lam in ((LagWindow(0, 16), 0.0), (LagWindow(-3, 4), 0.37), (LagWindow(0, 8), 1e4)):
+            rec, _, s = planted_trial(rng, 900, window=w)
+            design = decoder.build_design(rec, w)
+            target = s.samples[lag_valid_slice(900, w)]
+            cho = scipy.linalg.cho_factor(
+                design.T @ design + lam * np.eye(design.shape[1]), lower=True
+            )
+            expected = scipy.linalg.cho_solve(cho, design.T @ target)
+            assert np.array_equal(train(rec, s, w, lam).flat_weights, expected)
+
+    def test_failed_factorization_raises_naming_lambda(self):
+        # exact duplicate channels: lambda below the rounding of the Gram
+        # leaves a zero pivot, and no jitter is added to hide it
+        x = [1.0, -1.0, 1.0, -1.0]
+        r = recording([x, x])
+        s = ts([0.5, -1.0, 2.0, 0.0], label="s")
+        for lam in (1e-300, 1e-20):
+            with pytest.raises(SingularSystem, match=f"lambda={lam!r}"):
+                train(r, s, LagWindow(0, 0), lam)
 
     def test_recovery_error_shrinks_with_n(self):
         errs = {1000: [], 100000: []}
@@ -273,12 +298,50 @@ class TestCrossValidate:
         ceiling = np.sqrt(snr / (1.0 + snr))
         assert abs(max(curve) - ceiling) < 0.05
 
+    def test_constant_held_out_target_raises(self):
+        rng = np.random.default_rng(22)
+        trials = self._trials(rng, 3)
+        rec, s = trials[1]
+        trials[1] = (rec, ts(np.ones(len(s)), label="s"))
+        with pytest.raises(ZeroVarianceSignal):
+            cross_validate(trials, LagWindow(0, 8), [1.0])
+
     def test_ties_break_to_larger_lambda(self):
         from redflow.decoder import select_best_lambda
 
         assert select_best_lambda([1.0, 10.0, 100.0], [0.5, 0.5, 0.3]) == 10.0
         assert select_best_lambda([100.0, 1.0], [0.5, 0.5]) == 100.0
         assert select_best_lambda([1.0, 10.0], [0.6, 0.5]) == 1.0
+
+
+class TestSufficientStatistics:
+    def test_held_out_rho_matches_pearson_of_prediction(self):
+        rng = np.random.default_rng(21)
+        for w in (LagWindow(0, 8), LagWindow(-3, 2), LagWindow(-4, 0)):
+            for _ in range(10):
+                n = int(rng.integers(100, 2000))
+                k = int(rng.integers(1, 5))
+                train_rec = recording([rng.standard_normal(n) for _ in range(k)])
+                test_rec = recording([rng.uniform(-1, 1) + rng.standard_normal(n) for _ in range(k)])
+                stim = ts(rng.uniform(-1, 1) + rng.standard_normal(n), label="s")
+                (held,) = decoder.trial_stats(test_rec, [stim], w)
+                for lam in (0.0, 1e-3, 1.0, 1e3):
+                    g = train(train_rec, ts(rng.standard_normal(n), label="s"), w, lam).flat_weights
+                    prediction = ts(decoder.build_design(test_rec, w) @ g)
+                    expected = pearson(prediction, ts(stim.samples[lag_valid_slice(n, w)]))
+                    assert abs(decoder._held_out_rho(held, g) - expected) < 1e-12
+
+    def test_two_stimuli_equal_two_single_calls(self):
+        rng = np.random.default_rng(23)
+        rec = recording([rng.standard_normal(500) for _ in range(3)])
+        stims = [ts(rng.standard_normal(500), label=f"s{i}") for i in range(2)]
+        w = LagWindow(-2, 6)
+        both = decoder.trial_stats(rec, stims, w)
+        for got, s in zip(both, stims):
+            (want,) = decoder.trial_stats(rec, [s], w)
+            for field in ("gram", "rhs", "col_sums"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert (got.target_sum, got.target_css, got.n) == (want.target_sum, want.target_css, want.n)
 
 
 class TestSerialization:
@@ -294,6 +357,18 @@ class TestSerialization:
         assert back.lam == d.lam
         assert back.channel_labels == d.channel_labels
         assert back.train_rate_hz == d.train_rate_hz
+
+    def test_reads_files_with_solver_jitter(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rec, _, s = planted_trial(rng, 400, window=LagWindow(0, 4))
+        d = train(rec, s, LagWindow(0, 4), 1.0)
+        path = tmp_path / "dec.json"
+        save_decoder(d, path)
+        doc = json.loads(path.read_text())
+        assert "solver_jitter" not in doc
+        doc["solver_jitter"] = 0.0
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(load_decoder(path).weights, d.weights)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "dec.json"

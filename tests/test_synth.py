@@ -62,6 +62,12 @@ class TestStationaryCovariance:
         s = stationary_covariance(m)
         assert abs(s[0, 0] - 1.0 / (1.0 - 0.81)) < 1e-10
 
+    def test_near_unit_root(self):
+        m = VarModel(transition=np.diag([0.99999, 0.5]), noise_cov=np.eye(2))
+        s = stationary_covariance(m)
+        np.testing.assert_allclose(np.diag(s), [1.0 / (1.0 - 0.99999**2), 1.0 / 0.75], rtol=1e-12)
+        assert s[0, 1] == s[1, 0] == 0.0
+
     def test_lag_covariance_geometric(self):
         m = VarModel(transition=[[0.7]], noise_cov=[[1.0]])
         s0 = stationary_covariance(m)
