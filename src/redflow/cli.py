@@ -6,7 +6,8 @@ Stages (each resumable from the previous stage's files):
 * ``train``     dataset -> one decoder JSON per (subject, condition)
 * ``rates``     dataset + decoders -> rates.ndjson + rd_points.ndjson
 * ``report``    rd_points -> pdf.csv, rd_curve.csv, fits.json
-* ``all``       the four in sequence
+* ``all``       the four in memory on the simulated trials, writing the
+  same files as the four stages and reading none back
 
 The computations are pure functions of in-memory trials
 (:func:`train_decoders`, :func:`compute_rates`, :func:`build_report`); the
@@ -489,11 +490,16 @@ def _read_meta_line(path: Path) -> dict:
     return json.loads(first[len("# meta "):])
 
 
-def cmd_simulate(config: RunConfig, data_dir) -> None:
-    """Generate the synthetic dataset and write it as CSV/JSON per trial."""
-    data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(config: RunConfig, data_dir) -> list:
+    """Generate the synthetic dataset, write it as CSV/JSON per trial, and
+    return the trials written."""
     trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+    _write_dataset(config, Path(data_dir), trials)
+    return trials
+
+
+def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
+    data_dir.mkdir(parents=True, exist_ok=True)
     subjects = sorted({t.subject_id for t in trials})
     stamp = {"config_hash": config.config_hash()}
     for trial in trials:
@@ -533,6 +539,9 @@ def _load_manifest(data_dir: Path) -> dict:
         manifest = json.load(fh)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version")
+    for key in ("subjects", "trials_per_subject"):
+        if key not in manifest:
+            raise DataError(f"{path}: missing key {key!r}")
     return manifest
 
 
@@ -550,6 +559,11 @@ def load_trials(data_dir) -> list:
         )
         if not trial_ids:
             raise DataError(f"no trials found under {subject_dir}")
+        if len(trial_ids) != manifest["trials_per_subject"]:
+            raise DataError(
+                f"subject {subject}: {len(trial_ids)} trials under {subject_dir}, "
+                f"manifest lists {manifest['trials_per_subject']}"
+            )
         for trial_id in trial_ids:
             base = subject_dir / trial_id
             eeg = signals.read_recording(Path(str(base) + "_eeg.csv"))
@@ -571,9 +585,11 @@ def _decoder_path(out_dir: Path, subject: str, condition: str) -> Path:
 
 def cmd_train(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """Cross-validate lambda and fit one decoder per (subject, condition)."""
-    out_dir = Path(out_dir)
-    trials = load_trials(data_dir)
-    fitted = train_decoders(config, trials, conditions)
+    fitted = train_decoders(config, load_trials(data_dir), conditions)
+    _write_decoders(config, Path(out_dir), fitted)
+
+
+def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict) -> None:
     (out_dir / "decoders").mkdir(parents=True, exist_ok=True)
     for (subject, condition), (dec, mean_rho) in sorted(fitted.items()):
         decoder.save_decoder(
@@ -599,7 +615,10 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "dis
             decoders[(subject, condition)] = decoder.load_decoder(
                 _decoder_path(out_dir, subject, condition)
             )
-    records, points = compute_rates(config, trials, decoders, conditions)
+    _write_rates(config, out_dir, *compute_rates(config, trials, decoders, conditions))
+
+
+def _write_rates(config: RunConfig, out_dir: Path, records, points) -> None:
     meta = _run_meta(config)
     _write_with_meta(
         out_dir / "rates.ndjson", meta,
@@ -650,7 +669,10 @@ def cmd_report(
             f"config hash mismatch: rd_points carries {in_meta.get('config_hash')!r}, "
             f"current config is {config.config_hash()!r}"
         )
-    pdf_rows, curve_rows, fits = build_report(config, points, conditions, rate_kinds)
+    _write_report(config, out_dir, *build_report(config, points, conditions, rate_kinds))
+
+
+def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits) -> None:
     meta = _run_meta(config)
     _write_with_meta(out_dir / "pdf.csv", meta, pdf_rows)
     _write_with_meta(out_dir / "rd_curve.csv", meta, curve_rows)
@@ -660,10 +682,15 @@ def cmd_report(
 
 
 def cmd_all(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
-    cmd_simulate(config, data_dir)
-    cmd_train(config, data_dir, out_dir, conditions)
-    cmd_rates(config, data_dir, out_dir, conditions)
-    cmd_report(config, out_dir, conditions)
+    """The four stages on the simulated trials in memory: each file is
+    written once, by the same writer as its stage, and none is read back."""
+    out_dir = Path(out_dir)
+    trials = cmd_simulate(config, data_dir)
+    fitted = train_decoders(config, trials, conditions)
+    _write_decoders(config, out_dir, fitted)
+    records, points = compute_rates(config, trials, fitted, conditions)
+    _write_rates(config, out_dir, records, points)
+    _write_report(config, out_dir, *build_report(config, points, conditions))
 
 
 # ---------------------------------------------------------------------------

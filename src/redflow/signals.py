@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,13 +311,14 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
     ``rate_hz``, plus any ``extra_meta`` entries.
     """
     csv_path = Path(csv_path)
-    data = r.to_array()
-    t = np.arange(r.n_samples) / r.rate_hz
+    rows = np.column_stack(
+        [np.arange(r.n_samples) / r.rate_hz] + [ch.samples for ch in r.channels]
+    ).tolist()
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *r.labels])
-        for i in range(r.n_samples):
-            writer.writerow([repr(float(t[i]))] + [repr(float(v)) for v in data[i]])
+        csv.writer(fh).writerow(["t", *r.labels])
+        # repr of a finite float never needs CSV quoting and round-trips exactly;
+        # "\r\n" is csv.writer's line terminator.
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     meta = dict(extra_meta or {})
     meta.update(
         subject_id=r.subject_id,
@@ -332,10 +334,13 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
 def read_recording(csv_path) -> MultichannelRecording:
     """Read a recording written by :func:`write_recording`.
 
+    Lines starting with ``#`` and blank lines are skipped.
+
     Raises
     ------
     DataError
-        If the CSV or its JSON sidecar is missing or malformed.
+        If the CSV or its JSON sidecar is missing or malformed, including a
+        header without samples, ragged rows and non-numeric values.
     """
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".json")
@@ -349,24 +354,32 @@ def read_recording(csv_path) -> MultichannelRecording:
         if key not in meta:
             raise DataError(f"{meta_path}: missing metadata key {key!r}")
     with open(csv_path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows:
-        raise DataError(f"{csv_path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "t":
-        raise DataError(f"{csv_path}: first column must be 't', got {header[:1]}")
-    labels = header[1:]
-    if not labels:
-        raise DataError(f"{csv_path}: no channel columns")
-    try:
-        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    except ValueError as exc:
-        raise DataError(f"{csv_path}: non-numeric value ({exc})") from exc
-    if values.ndim != 2 or values.shape[1] != len(labels):
-        raise DataError(f"{csv_path}: ragged rows")
+        header = next(
+            (row for row in csv.reader(fh) if row and not row[0].startswith("#")), None
+        )
+        if header is None:
+            raise DataError(f"{csv_path}: empty file")
+        if header[0] != "t":
+            raise DataError(f"{csv_path}: first column must be 't', got {header[:1]}")
+        labels = header[1:]
+        if not labels:
+            raise DataError(f"{csv_path}: no channel columns")
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{csv_path}: malformed data row ({exc})") from exc
+    if values.shape[0] == 0:
+        raise DataError(f"{csv_path}: header but no samples")
+    if values.shape[1] != len(header):
+        raise DataError(
+            f"{csv_path}: ragged rows ({values.shape[1]} columns, header has {len(header)})"
+        )
     rate = float(meta["rate_hz"])
     channels = tuple(
-        TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels)
+        TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels, start=1)
     )
     return MultichannelRecording(
         channels=channels,

@@ -8,7 +8,7 @@ import pytest
 
 from redflow import cli
 from redflow.cli import RunConfig, config_from_dict, load_config, main
-from redflow.errors import ConfigError
+from redflow.errors import ConfigError, DataError
 
 
 TINY = {
@@ -33,9 +33,13 @@ def read_nonmeta_lines(path):
 
 def strip_timestamp(path):
     """File content with the generated_at value blanked, for byte comparisons."""
-    text = Path(path).read_text()
+    text = Path(path).read_bytes().decode()
+    if Path(path).name == "fits.json":
+        doc = json.loads(text)
+        doc["meta"].pop("generated_at", None)
+        return json.dumps(doc, sort_keys=True, indent=1)
     out = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line.startswith("# meta "):
             doc = json.loads(line[len("# meta "):])
             doc.pop("generated_at", None)
@@ -168,6 +172,32 @@ class TestPipeline:
         code = main(["report", "--config", str(other), "--data", str(data), "--out", str(out)])
         assert code == 3
 
+    def test_all_matches_four_stages(self, run_dirs, tmp_path):
+        _, cfg_path, data, out = run_dirs
+        all_data, all_out = tmp_path / "data", tmp_path / "out"
+        assert main(["all", "--config", str(cfg_path), "--data", str(all_data),
+                     "--out", str(all_out)]) == 0
+        for staged, merged in ((data, all_data), (out, all_out)):
+            names = sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
+            assert names == sorted(
+                p.relative_to(merged) for p in merged.rglob("*") if p.is_file()
+            )
+            for name in names:
+                assert strip_timestamp(merged / name) == strip_timestamp(staged / name), name
+
+    def test_all_reads_nothing_back(self, tmp_path, monkeypatch):
+        from redflow import decoder, signals
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("all must not read its own files back")
+
+        for module, name in ((signals, "read_recording"), (cli, "load_trials"),
+                             (decoder, "load_decoder"), (cli, "read_rd_points")):
+            monkeypatch.setattr(module, name, refuse)
+        cfg_path = write_config(tmp_path)
+        assert main(["all", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_stage_idempotent(self, run_dirs):
         root, cfg_path, data, out = run_dirs
         before = strip_timestamp(out / "rates.ndjson")
@@ -207,6 +237,29 @@ class TestPipelineVariants:
         cfg_path = write_config(tmp_path)
         code = main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out")])
         assert code == 3
+
+    def test_missing_trial_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        for path in (data / "s02").glob("t003_*"):
+            path.unlink()
+        with pytest.raises(DataError, match="subject s02"):
+            cli.load_trials(data)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "subject s02" in capsys.readouterr().err
+
+    def test_manifest_without_trial_count_is_data_error(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["trials_per_subject"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="trials_per_subject"):
+            cli.load_trials(data)
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

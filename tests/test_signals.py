@@ -1,5 +1,7 @@
 """Container types, normalization, envelopes, lag embedding, channel selection."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,9 @@ class TestSelectChannels:
             select_channels(r, ("XX",))
 
 
+SIDECAR = '{"subject_id": "s", "trial_id": "t", "condition": "unlabeled", "rate_hz": 64.0}'
+
+
 class TestRecordingFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -268,8 +273,76 @@ class TestRecordingFiles:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("time,a\n0.0,1.0\n")
-        path.with_suffix(".json").write_text(
-            '{"subject_id": "s", "trial_id": "t", "condition": "unlabeled", "rate_hz": 64.0}'
-        )
+        path.with_suffix(".json").write_text(SIDECAR)
         with pytest.raises(DataError):
+            read_recording(path)
+
+    def test_writer_bytes_match_csv_writer(self, tmp_path):
+        # reference: the row-by-row csv.writer layout (CRLF rows, minimal quoting)
+        rng = np.random.default_rng(8)
+        labels = ("a", 'needs "quoting", here')
+        r = MultichannelRecording(
+            channels=tuple(ts(rng.standard_normal(40) * 1e3, label=lab) for lab in labels)
+        )
+        path = tmp_path / "rec.csv"
+        write_recording(r, path)
+        ref = tmp_path / "ref.csv"
+        t = np.arange(r.n_samples) / r.rate_hz
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", *r.labels])
+            for i in range(r.n_samples):
+                writer.writerow(
+                    [repr(float(t[i]))] + [repr(float(v)) for v in r.to_array()[i]]
+                )
+        written = path.read_bytes()
+        assert written == ref.read_bytes()
+        assert written.startswith(b't,a,"needs ""quoting"", here"\r\n')
+        assert written.count(b"\r\n") == r.n_samples + 1
+        assert read_recording(path).labels == labels
+
+    def test_round_trip_exact_with_sign(self, tmp_path):
+        values = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308,
+                  0.1 + 0.2, 1 / 3]
+        values += [-v for v in values]
+        r = MultichannelRecording(channels=(ts(values, label="v"),))
+        path = tmp_path / "rec.csv"
+        write_recording(r, path)
+        back = read_recording(path).channel("v").samples
+        assert back.tolist() == values
+        assert np.signbit(back).tolist() == np.signbit(values).tolist()
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("# note\n\nt,a\n0.0,1.0\n\n# mid\n0.015625,2.0\n")
+        path.with_suffix(".json").write_text(SIDECAR)
+        assert read_recording(path).channel("a").samples.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "empty file"),
+            ("# only a comment\n\n", "empty file"),
+            ("t\n0.0\n", "no channel columns"),
+            ("t,a\n", "no samples"),
+            ("t,a\n# comment\n\n", "no samples"),
+            ("t,a\n0.0,1.0\n0.015625\n", "rec.csv"),
+            ("t,a,b\n0.0,1.0\n", "ragged rows"),
+            ("t,a\n0.0,nope\n", "rec.csv"),
+        ],
+        ids=["empty", "comments-only", "no-channels", "header-only",
+             "header-and-comments", "ragged", "short-of-header", "non-numeric"],
+    )
+    def test_malformed_csv_is_data_error(self, tmp_path, body, message):
+        path = tmp_path / "rec.csv"
+        path.write_text(body)
+        path.with_suffix(".json").write_text(SIDECAR)
+        with pytest.raises(DataError, match=message):
+            read_recording(path)
+
+    def test_missing_sidecar_key(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("t,a\n0.0,1.0\n")
+        path.with_suffix(".json").write_text('{"subject_id": "s", "trial_id": "t"}')
+        with pytest.raises(DataError, match="condition"):
             read_recording(path)
