@@ -24,7 +24,6 @@ from .errors import RedflowError
 from .infotheory import EmbedSpec, gaussian_cmi, mutual_information, plug_in_bias, transfer_entropy
 from .redundancy import (
     RateBundle,
-    causal_redundancy_bound,
     directed_redundancy_bound,
     rate_e_to_shat,
     rate_s_to_e,

@@ -29,7 +29,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,9 +70,45 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _file_key(name: str) -> tuple:
+    """(section, key) of a RunConfig field in the config file: ``embed_<k>``
+    is ``embed.<k>``, a scenario parameter is ``scenario.<k>``, and any
+    other field is a top-level key (section ``None``)."""
+    if name.startswith("embed_"):
+        return "embed", name[len("embed_"):]
+    if name != "seed" and name in synth.AadScenario.__dataclass_fields__:
+        return "scenario", name
+    return None, name
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _coerce(key: str, default, value):
+    """``value`` as the type of ``default``: an int takes only integral
+    numbers, a float only finite numbers, a tuple only a JSON list of its
+    element type; bools are not numbers."""
+    kind = type(default)
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_coerce(f"{key}[{i}]", default[0], v) for i, v in enumerate(value))
+    if kind is str:
+        ok = isinstance(value, str)
+    elif type(value) is int:
+        ok = kind is int or abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is float and np.isfinite(value) and (kind is float or value.is_integer())
+    if not ok:
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; see README for the file schema."""
+    """Resolved run configuration and the one statement of the file schema:
+    each field maps to a file key by :func:`_file_key` and takes values of
+    its default's type (see README)."""
 
     seed: int = 0
     rate_hz: float = 64.0
@@ -86,7 +122,6 @@ class RunConfig:
     bin_width_bits: float = 0.005
     bin_stride_bits: float = 0.0025
     fit_on: str = "raw"
-    time_shift_surrogates: bool = False
     n_subjects: int = 3
     n_trials: int = 10
     n_samples: int = 3200
@@ -98,9 +133,11 @@ class RunConfig:
     def __post_init__(self):
         if self.fit_on not in ("binned", "raw"):
             raise ConfigError(f"fit_on must be 'binned' or 'raw', got {self.fit_on!r}")
-        if self.time_shift_surrogates:
+        if self.rate_hz <= 0:
+            raise ConfigError(f"rate_hz must be > 0, got {self.rate_hz}")
+        if not self.channel_subset or len(set(self.channel_subset)) != len(self.channel_subset):
             raise ConfigError(
-                "time_shift_surrogates is a reserved hook; this build ships it disabled"
+                f"channel_subset must be non-empty without duplicates, got {self.channel_subset}"
             )
         if self.kde_level < 0:
             raise ConfigError("kde_level must be >= 0")
@@ -120,11 +157,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def embed(self) -> EmbedSpec:
-        return EmbedSpec(
-            source_history=self.embed_source_history,
-            target_history=self.embed_target_history,
-            delay=self.embed_delay,
-        )
+        return EmbedSpec(**self.to_dict()["embed"])
 
     def lag_window(self) -> LagWindow:
         lo = int(round(self.lag_window_ms[0] * self.rate_hz / 1000.0))
@@ -132,41 +165,16 @@ class RunConfig:
         return LagWindow(lo, hi)
 
     def scenario(self) -> synth.AadScenario:
-        return synth.AadScenario(
-            n_samples=self.n_samples,
-            n_trials=self.n_trials,
-            n_subjects=self.n_subjects,
-            n_channels=self.n_channels,
-            attended_coupling=self.attended_coupling,
-            distractor_coupling=self.distractor_coupling,
-            observation_noise=self.observation_noise,
-            seed=self.seed,
-        )
+        return synth.AadScenario(seed=self.seed, **self.to_dict()["scenario"])
 
     def to_dict(self) -> dict:
-        return {
-            "config_version": CONFIG_VERSION,
-            "seed": self.seed,
-            "rate_hz": self.rate_hz,
-            "channel_subset": list(self.channel_subset),
-            "lag_window_ms": list(self.lag_window_ms),
-            "lambda_grid": list(self.lambda_grid),
-            "embed": self.embed().to_dict(),
-            "kde_level": self.kde_level,
-            "bin_width_bits": self.bin_width_bits,
-            "bin_stride_bits": self.bin_stride_bits,
-            "fit_on": self.fit_on,
-            "time_shift_surrogates": self.time_shift_surrogates,
-            "scenario": {
-                "n_subjects": self.n_subjects,
-                "n_trials": self.n_trials,
-                "n_samples": self.n_samples,
-                "n_channels": self.n_channels,
-                "attended_coupling": self.attended_coupling,
-                "distractor_coupling": self.distractor_coupling,
-                "observation_noise": self.observation_noise,
-            },
-        }
+        doc = {"config_version": CONFIG_VERSION, "embed": {}, "scenario": {}}
+        for f in fields(self):
+            section, key = _file_key(f.name)
+            value = getattr(self, f.name)
+            target = doc if section is None else doc[section]
+            target[key] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -175,61 +183,29 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-_TOP_KEYS = {
-    "config_version", "seed", "rate_hz", "channel_subset", "lag_window_ms",
-    "lambda_grid", "embed", "kde_level", "bin_width_bits", "bin_stride_bits",
-    "fit_on", "time_shift_surrogates", "scenario",
-}
-_EMBED_KEYS = {"source_history", "target_history", "delay"}
-_SCENARIO_KEYS = {
-    "n_subjects", "n_trials", "n_samples", "n_channels",
-    "attended_coupling", "distractor_coupling", "observation_noise",
-}
-_SCENARIO_FLOAT_KEYS = {"attended_coupling", "distractor_coupling", "observation_noise"}
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed config file, applying defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    version = doc.get("config_version", CONFIG_VERSION)
+    doc = dict(doc)
+    version = _coerce("config_version", CONFIG_VERSION, doc.pop("config_version", CONFIG_VERSION))
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config_version {version!r}")
-    embed = doc.get("embed", {})
-    if not isinstance(embed, dict) or set(embed) - _EMBED_KEYS:
-        raise ConfigError(f"embed must be an object with keys in {sorted(_EMBED_KEYS)}")
-    scenario = doc.get("scenario", {})
-    if not isinstance(scenario, dict) or set(scenario) - _SCENARIO_KEYS:
-        raise ConfigError(f"scenario must be an object with keys in {sorted(_SCENARIO_KEYS)}")
-    kwargs = {}
-    try:
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
-        if "rate_hz" in doc:
-            kwargs["rate_hz"] = float(doc["rate_hz"])
-        if "channel_subset" in doc:
-            kwargs["channel_subset"] = tuple(str(c) for c in doc["channel_subset"])
-        if "lag_window_ms" in doc:
-            kwargs["lag_window_ms"] = tuple(float(v) for v in doc["lag_window_ms"])
-        if "lambda_grid" in doc:
-            kwargs["lambda_grid"] = tuple(float(v) for v in doc["lambda_grid"])
-        for key in _EMBED_KEYS & set(embed):
-            kwargs[f"embed_{key}"] = int(embed[key])
-        for key in ("kde_level", "bin_width_bits", "bin_stride_bits"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        if "fit_on" in doc:
-            kwargs["fit_on"] = str(doc["fit_on"])
-        if "time_shift_surrogates" in doc:
-            kwargs["time_shift_surrogates"] = bool(doc["time_shift_surrogates"])
-        for key in _SCENARIO_KEYS & set(scenario):
-            value = scenario[key]
-            kwargs[key] = float(value) if key in _SCENARIO_FLOAT_KEYS else int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    sections = {None: doc}
+    for name in ("embed", "scenario"):
+        sections[name] = doc.pop(name, {})
+        if not isinstance(sections[name], dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        sections[name] = dict(sections[name])
+    kwargs = {}  # each known key is popped, so what remains is unknown
+    for f in fields(RunConfig):
+        section, key = _file_key(f.name)
+        if key in sections[section]:
+            dotted = key if section is None else f"{section}.{key}"
+            kwargs[f.name] = _coerce(dotted, f.default, sections[section].pop(key))
+    unknown = [k if s is None else f"{s}.{k}" for s, keys in sections.items() for k in keys]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**kwargs)
 
 
@@ -316,8 +292,8 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
     """Rate bundle and distortion-rate points per (trial, condition).
 
     Returns (records, points) ordered by subject, trial, then condition.
-    ``decoders`` maps (subject, condition) to a Decoder or to a
-    (Decoder, cv_curve) pair as produced by :func:`train_decoders`.
+    ``decoders`` maps (subject, condition) to a (Decoder, cv_curve) pair as
+    produced by :func:`train_decoders`; the curve is not used here.
     """
     trials = list(trials)
     if not trials:
@@ -339,8 +315,7 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
                 condition=eeg.condition,
             )
             for condition in conditions:
-                entry = decoders[(subject, condition)]
-                dec = entry[0] if isinstance(entry, tuple) else entry
+                dec, _ = decoders[(subject, condition)]
                 try:
                     record, trial_points = _rate_one_trial(
                         config, trial, condition, dec, eeg, electrodes, valid, embed
@@ -612,9 +587,8 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "dis
     decoders = {}
     for subject in sorted({t.subject_id for t in trials}):
         for condition in conditions:
-            decoders[(subject, condition)] = decoder.load_decoder(
-                _decoder_path(out_dir, subject, condition)
-            )
+            path = _decoder_path(out_dir, subject, condition)
+            decoders[(subject, condition)] = (decoder.load_decoder(path), None)
     _write_rates(config, out_dir, *compute_rates(config, trials, decoders, conditions))
 
 

@@ -4,9 +4,7 @@ Three transfer-entropy rates are computed per trial: stimulus to
 reconstruction, the minimum over channels into the reconstruction, and the
 minimum from the stimulus over channels. Their minimum upper-bounds the
 information about the stimulus that the channels redundantly convey into
-the reconstruction. A generic bound over an arbitrary
-(driver, relay set, target) system is provided for validation on synthetic
-models.
+the reconstruction.
 """
 
 from __future__ import annotations
@@ -119,16 +117,6 @@ def rate_s_to_shat(s: TimeSeries, shat: TimeSeries, e: EmbedSpec) -> float:
     return float(transfer_entropies((s, shat), [(0, 1)], e, ("S", "Shat"))[0])
 
 
-def _bound_tes(driver, relays, target, e, names):
-    """Driver-to-target, each relay-to-target and driver-to-each-relay
-    transfer entropies from one kernel call; ``names`` = (driver, target)."""
-    k = len(relays.channels)
-    pairs = [(0, 1), *((c, 1) for c in range(2, k + 2)), *((0, c) for c in range(2, k + 2))]
-    signals = (driver, target, *relays.channels)
-    tes = transfer_entropies(signals, pairs, e, (*names, *relays.labels)).tolist()
-    return tes[0], tes[1 : k + 1], tes[k + 1 :]
-
-
 def directed_redundancy_bound(
     s: TimeSeries,
     electrodes: MultichannelRecording,
@@ -141,27 +129,13 @@ def directed_redundancy_bound(
     """All three rates, their argmin channels, and the exact minimum, from
     one transfer-entropy kernel call; a degenerate transfer entropy is named
     as ``S->Shat``, ``<channel>->Shat`` or ``S-><channel>``."""
-    r_ss, te_es, te_se = _bound_tes(s, electrodes, shat, e, ("S", "Shat"))
-    r_es, argmin_es = _min_over_channels(te_es, electrodes.labels)
-    r_se, argmin_se = _min_over_channels(te_se, electrodes.labels)
+    k = len(electrodes.channels)
+    pairs = [(0, 1), *((c, 1) for c in range(2, k + 2)), *((0, c) for c in range(2, k + 2))]
+    signals = (s, shat, *electrodes.channels)
+    tes = transfer_entropies(signals, pairs, e, ("S", "Shat", *electrodes.labels)).tolist()
+    r_es, argmin_es = _min_over_channels(tes[1 : k + 1], electrodes.labels)
+    r_se, argmin_se = _min_over_channels(tes[k + 1 :], electrodes.labels)
     return bundle_from_rates(
-        r_ss, r_es, r_se, argmin_es, argmin_se, condition, subject_id, trial_id, e
+        tes[0], r_es, r_se, argmin_es, argmin_se, condition, subject_id, trial_id, e
     )
 
-
-def causal_redundancy_bound(
-    driver: TimeSeries,
-    relays: MultichannelRecording,
-    target: TimeSeries,
-    e: EmbedSpec,
-) -> tuple[float, dict]:
-    """Generic redundancy upper bound for a (driver, relays, target) system.
-
-    Minimum of: driver-to-target transfer entropy, driver-to-each-relay, and
-    each-relay-to-target. Returns the bound and every term by name.
-    """
-    te_dt, te_rt, te_dr = _bound_tes(driver, relays, target, e, ("driver", "target"))
-    terms = {"te_driver_to_target": te_dt}
-    terms.update((f"te_driver_to_{lab}", v) for lab, v in zip(relays.labels, te_dr))
-    terms.update((f"te_{lab}_to_target", v) for lab, v in zip(relays.labels, te_rt))
-    return min(terms.values()), terms

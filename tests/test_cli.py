@@ -71,6 +71,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"time_shift_surrogates": True})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"lambda_grid": "12"},
+            {"lambda_grid": [float("nan")]},
+            {"channel_subset": "T7"},
+            {"channel_subset": []},
+            {"channel_subset": ["T7", "T7"]},
+            {"seed": 1.7},
+            {"seed": True},
+            {"scenario": {"n_trials": 2.9}},
+            {"kde_level": "0.01"},
+            {"kde_level": float("nan")},
+            {"rate_hz": 0},
+        ],
+        ids=repr,
+    )
+    def test_malformed_value_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_malformed_value_exit_code(self, tmp_path):
+        path = write_config(tmp_path, doc={**TINY, "channel_subset": ["T7", "T7"]})
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["all", "--config", str(path), "--data", str(data), "--out", str(out)]) == 2
+
+    def test_canonical_json_pinned(self):
+        # the hashed layout: changing it changes every output's config hash
+        assert config_from_dict(TINY).canonical_json() == (
+            '{"bin_stride_bits":0.0025,"bin_width_bits":0.005,'
+            '"channel_subset":["FT7","T7","TP7","CP5","FC5","C5"],"config_version":1,'
+            '"embed":{"delay":1,"source_history":4,"target_history":4},"fit_on":"raw",'
+            '"kde_level":0.01,"lag_window_ms":[0.0,125.0],"lambda_grid":[1.0,100.0],'
+            '"rate_hz":64.0,"scenario":{"attended_coupling":0.12,"distractor_coupling":0.03,'
+            '"n_channels":6,"n_samples":600,"n_subjects":2,"n_trials":4,'
+            '"observation_noise":1.0},"seed":5}'
+        )
+
     def test_hash_depends_on_values(self):
         a = config_from_dict(TINY)
         b = config_from_dict({**TINY, "seed": 6})
@@ -398,6 +436,29 @@ class TestPipelineVariants:
         assert abs(hits / n_seeds - 0.05) < 0.04
         ks = float(np.max(np.abs(np.sort(pvals) - (np.arange(n_seeds) + 1) / n_seeds)))
         assert ks < 0.1
+
+    def test_binned_fit_uses_curve_rows(self):
+        from redflow import analysis, synth
+
+        config = config_from_dict({**TINY, "fit_on": "binned"})
+        conditions = ("attended", "distractor")
+        trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+        decs = cli.train_decoders(config, trials, conditions)
+        _, points = cli.compute_rates(config, trials, decs, conditions)
+        _, curve_rows, fits = cli.build_report(config, points, conditions)
+        fitted = 0
+        for kind, cells in fits.items():
+            for cond, cell in cells.items():
+                rows = [r.split(",") for r in curve_rows[1:] if r.startswith(f"{kind},{cond},")]
+                if "error" in cell:
+                    assert len(rows) < 3 and cell["error"].startswith("TooFewSamples")
+                    continue
+                fitted += 1
+                assert cell["n_points"] == len(rows)
+                centers = [float(r[2]) for r in rows]
+                means = [float(r[3]) for r in rows]
+                assert cell["slope"] == analysis.fit_linear(centers, means).slope
+        assert fitted >= 4
 
     def test_in_memory_matches_file_pipeline(self, tmp_path):
         # the analyze_scenario shortcut must agree with the file-backed run

@@ -11,7 +11,6 @@ from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
 from redflow.redundancy import (
     RateBundle,
     bundle_from_rates,
-    causal_redundancy_bound,
     directed_redundancy_bound,
     rate_e_to_shat,
     rate_s_to_e,
@@ -199,23 +198,6 @@ class TestDirectedRedundancyBound:
             if strong.r_min > weak.r_min:
                 wins += 1
         assert wins >= int(0.95 * seeds)
-
-    def test_generic_bound_terms(self):
-        s, electrodes, shat = self._system(10)
-        bound, terms = causal_redundancy_bound(s, electrodes, shat, EMBED)
-        assert set(terms) == {
-            "te_driver_to_target",
-            "te_driver_to_x",
-            "te_driver_to_y",
-            "te_x_to_target",
-            "te_y_to_target",
-        }
-        assert bound == min(terms.values())
-        assert all(v >= 0.0 for v in terms.values())
-        # the three-rate bound can only be looser or equal when computed on
-        # the same terms it shares with the generic bound
-        b = directed_redundancy_bound(s, electrodes, shat, EMBED)
-        assert bound <= b.r_s_to_shat + 1e-12
 
 
 class TestBundleKernel:
