@@ -21,21 +21,14 @@ from .analysis import (
 )
 from .decoder import Decoder, cross_validate, load_decoder, pearson, reconstruct, save_decoder, train
 from .errors import RedflowError
-from .infotheory import EmbedSpec, gaussian_cmi, mutual_information, plug_in_bias, transfer_entropy
-from .redundancy import (
-    RateBundle,
-    directed_redundancy_bound,
-    rate_e_to_shat,
-    rate_s_to_e,
-    rate_s_to_shat,
-)
+from .infotheory import EmbedSpec, gaussian_cmi, plug_in_bias, transfer_entropy
+from .redundancy import RateBundle, directed_redundancy_bound
 from .signals import (
     LEFT_TEMPORAL_LABELS,
     LagWindow,
     MultichannelRecording,
     TimeSeries,
     extract_envelope,
-    lag_embed,
     normalize,
     read_recording,
     select_channels,

@@ -86,11 +86,11 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 def _coerce(key: str, default, value):
     """``value`` as the type of ``default``: an int takes only integral
-    numbers, a float only finite numbers, a tuple only a JSON list of its
+    numbers, a float only finite numbers, a tuple only a list or tuple of its
     element type; bools are not numbers."""
     kind = type(default)
     if kind is tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(_coerce(f"{key}[{i}]", default[0], v) for i, v in enumerate(value))
     if kind is str:
@@ -131,6 +131,10 @@ class RunConfig:
     observation_noise: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            section, key = _file_key(f.name)
+            dotted = key if section is None else f"{section}.{key}"
+            object.__setattr__(self, f.name, _coerce(dotted, f.default, getattr(self, f.name)))
         if self.fit_on not in ("binned", "raw"):
             raise ConfigError(f"fit_on must be 'binned' or 'raw', got {self.fit_on!r}")
         if self.rate_hz <= 0:
@@ -201,8 +205,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     for f in fields(RunConfig):
         section, key = _file_key(f.name)
         if key in sections[section]:
-            dotted = key if section is None else f"{section}.{key}"
-            kwargs[f.name] = _coerce(dotted, f.default, sections[section].pop(key))
+            kwargs[f.name] = sections[section].pop(key)
     unknown = [k if s is None else f"{s}.{k}" for s, keys in sections.items() for k in keys]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -236,7 +239,13 @@ _STIM_SUFFIX = {"attended": "att", "distractor": "dst"}
 
 
 def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
-    """Channel subset in configured order, each channel normalized."""
+    """Channel subset in configured order, each channel normalized; the
+    recording must be sampled at the configured rate."""
+    if eeg.rate_hz != config.rate_hz:
+        raise DataError(
+            f"subject {eeg.subject_id}, trial {eeg.trial_id}: recorded at "
+            f"{eeg.rate_hz} Hz, config rate_hz is {config.rate_hz} Hz"
+        )
     eeg = signals.select_channels(eeg, config.channel_subset)
     return signals.MultichannelRecording(
         channels=tuple(signals.normalize(ch) for ch in eeg.channels),
@@ -501,9 +510,7 @@ def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
         "trials_per_subject": config.n_trials,
         "n_samples": config.n_samples,
     }
-    with open(data_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    signals.write_json(data_dir / "manifest.json", manifest)
 
 
 def _load_manifest(data_dir: Path) -> dict:
@@ -650,9 +657,7 @@ def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits) 
     meta = _run_meta(config)
     _write_with_meta(out_dir / "pdf.csv", meta, pdf_rows)
     _write_with_meta(out_dir / "rd_curve.csv", meta, curve_rows)
-    with open(out_dir / "fits.json", "w") as fh:
-        json.dump({"meta": meta, "fits": fits}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    signals.write_json(out_dir / "fits.json", {"meta": meta, "fits": fits})
 
 
 def cmd_all(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:

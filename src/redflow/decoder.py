@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
     ZeroVarianceSignal,
 )
-from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view
+from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view, write_json
 
 DECODER_FORMAT_VERSION = 1
 
@@ -312,9 +312,7 @@ def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         doc["meta"] = extra_meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_decoder(path) -> Decoder:

@@ -174,11 +174,6 @@ def gaussian_cmi(
     return float(_cmi_bits(cov[None], dx, dy, ("the data",))[0])
 
 
-def mutual_information(x_block: np.ndarray, y_block: np.ndarray) -> float:
-    """Plug-in Gaussian mutual information I(X; Y) in bits."""
-    return gaussian_cmi(x_block, y_block, None)
-
-
 def _te_columns(e: EmbedSpec) -> tuple[int, slice, slice, slice]:
     """Width of the lag window that ends at time t, and the columns of the
     source past, the target present and the target past within it."""

@@ -20,16 +20,12 @@ from .signals import MultichannelRecording, TimeSeries
 
 @dataclass(frozen=True)
 class RateBundle:
-    """Per-trial rates in bits and their minimum.
-
-    ``r_min`` always equals ``min(r_s_to_shat, r_e_to_shat, r_s_to_e)``
-    exactly; the two argmin labels name the minimizing channels.
-    """
+    """Per-trial rates in bits; the two argmin labels name the minimizing
+    channels, and ``r_min`` is their exact minimum."""
 
     r_s_to_shat: float
     r_e_to_shat: float
     r_s_to_e: float
-    r_min: float
     argmin_channel_e_to_shat: str
     argmin_channel_s_to_e: str
     condition: str
@@ -38,13 +34,14 @@ class RateBundle:
     embed: EmbedSpec
 
     def __post_init__(self):
-        expected = min(self.r_s_to_shat, self.r_e_to_shat, self.r_s_to_e)
-        if self.r_min != expected:
-            raise ShapeMismatch(f"r_min {self.r_min} != min of components {expected}")
-        if min(self.r_s_to_shat, self.r_e_to_shat, self.r_s_to_e) < 0:
+        if self.r_min < 0:
             raise ShapeMismatch("rates must be >= 0")
         if self.condition not in ("attended", "distractor"):
             raise ShapeMismatch(f"condition must be attended|distractor, got {self.condition!r}")
+
+    @property
+    def r_min(self) -> float:
+        return min(self.r_s_to_shat, self.r_e_to_shat, self.r_s_to_e)
 
     def to_dict(self) -> dict:
         return {
@@ -61,60 +58,10 @@ class RateBundle:
         }
 
 
-def bundle_from_rates(
-    r_s_to_shat: float,
-    r_e_to_shat: float,
-    r_s_to_e: float,
-    argmin_e_to_shat: str,
-    argmin_s_to_e: str,
-    condition: str,
-    subject_id: str,
-    trial_id: str,
-    embed: EmbedSpec,
-) -> RateBundle:
-    """Assemble a bundle; the minimum is taken here, exactly."""
-    return RateBundle(
-        r_s_to_shat=r_s_to_shat,
-        r_e_to_shat=r_e_to_shat,
-        r_s_to_e=r_s_to_e,
-        r_min=min(r_s_to_shat, r_e_to_shat, r_s_to_e),
-        argmin_channel_e_to_shat=argmin_e_to_shat,
-        argmin_channel_s_to_e=argmin_s_to_e,
-        condition=condition,
-        subject_id=subject_id,
-        trial_id=trial_id,
-        embed=embed,
-    )
-
-
 def _min_over_channels(values: list, labels: tuple) -> tuple[float, str]:
     """Minimum and its channel label; ties break to the earliest channel."""
     best = int(np.argmin(values))  # argmin returns the first minimizer
     return values[best], labels[best]
-
-
-def rate_e_to_shat(
-    electrodes: MultichannelRecording, shat: TimeSeries, e: EmbedSpec
-) -> tuple[float, str]:
-    """Minimum over channels of the channel-to-reconstruction transfer entropy."""
-    k = len(electrodes.channels)
-    signals, names = (*electrodes.channels, shat), (*electrodes.labels, "Shat")
-    tes = transfer_entropies(signals, [(c, k) for c in range(k)], e, names)
-    return _min_over_channels(tes.tolist(), electrodes.labels)
-
-
-def rate_s_to_e(
-    s: TimeSeries, electrodes: MultichannelRecording, e: EmbedSpec
-) -> tuple[float, str]:
-    """Minimum over channels of the stimulus-to-channel transfer entropy."""
-    signals, names = (s, *electrodes.channels), ("S", *electrodes.labels)
-    tes = transfer_entropies(signals, [(0, c) for c in range(1, len(signals))], e, names)
-    return _min_over_channels(tes.tolist(), electrodes.labels)
-
-
-def rate_s_to_shat(s: TimeSeries, shat: TimeSeries, e: EmbedSpec) -> float:
-    """Stimulus-to-reconstruction transfer entropy."""
-    return float(transfer_entropies((s, shat), [(0, 1)], e, ("S", "Shat"))[0])
 
 
 def directed_redundancy_bound(
@@ -135,7 +82,14 @@ def directed_redundancy_bound(
     tes = transfer_entropies(signals, pairs, e, ("S", "Shat", *electrodes.labels)).tolist()
     r_es, argmin_es = _min_over_channels(tes[1 : k + 1], electrodes.labels)
     r_se, argmin_se = _min_over_channels(tes[k + 1 :], electrodes.labels)
-    return bundle_from_rates(
-        tes[0], r_es, r_se, argmin_es, argmin_se, condition, subject_id, trial_id, e
+    return RateBundle(
+        r_s_to_shat=tes[0],
+        r_e_to_shat=r_es,
+        r_s_to_e=r_se,
+        argmin_channel_e_to_shat=argmin_es,
+        argmin_channel_s_to_e=argmin_se,
+        condition=condition,
+        subject_id=subject_id,
+        trial_id=trial_id,
+        embed=e,
     )
-

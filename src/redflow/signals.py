@@ -250,23 +250,6 @@ def lag_valid_slice(n: int, w: LagWindow) -> slice:
     return slice(lo, hi + 1)
 
 
-def lag_embed(x: TimeSeries, w: LagWindow) -> np.ndarray:
-    """Lagged design matrix of a series.
-
-    Row i, column k holds ``x`` at time ``t_i + tau_min + k`` where ``t_i``
-    runs over the indices for which every lag stays inside the series
-    (truncation convention; no zero padding). Column count is
-    ``w.n_lags``.
-
-    Raises
-    ------
-    WindowTooLarge
-        If no valid rows remain.
-    """
-    sl = lag_valid_slice(len(x), w)
-    return lag_view(x.samples, sl.start + w.tau_min, sl.stop - sl.start, w.n_lags).copy()
-
-
 def lag_view(samples: np.ndarray, start: int, rows: int, width: int) -> np.ndarray:
     """Read-only view whose entry ``[i, ..., k]`` is ``samples[start + i + k, ...]``
     for ``i < rows`` and ``k < width``; trailing (channel) axes sit between."""
@@ -302,6 +285,14 @@ def select_channels(r: MultichannelRecording, labels) -> MultichannelRecording:
 # CSV + JSON-sidecar recording files
 # ---------------------------------------------------------------------------
 
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as key-sorted JSON indented by one space, newline-terminated:
+    the layout of every JSON file the pipeline writes."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None = None) -> None:
     """Write one recording as CSV plus a JSON metadata sidecar.
 
@@ -326,9 +317,7 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
         condition=r.condition,
         rate_hz=r.rate_hz,
     )
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(csv_path.with_suffix(".json"), meta)
 
 
 def read_recording(csv_path) -> MultichannelRecording:

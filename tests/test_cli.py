@@ -48,6 +48,15 @@ def strip_timestamp(path):
     return "\n".join(out)
 
 
+def field_kwargs(doc):
+    """RunConfig keyword arguments for a config-file dict (``embed.<k>`` is
+    ``embed_<k>``, ``scenario.<k>`` is ``<k>``)."""
+    kwargs = {k: v for k, v in doc.items() if k not in ("embed", "scenario", "config_version")}
+    kwargs.update({f"embed_{k}": v for k, v in doc.get("embed", {}).items()})
+    kwargs.update(doc.get("scenario", {}))
+    return kwargs
+
+
 class TestConfig:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
@@ -91,6 +100,23 @@ class TestConfig:
     def test_malformed_value_rejected(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+        with pytest.raises(ConfigError):
+            RunConfig(**field_kwargs(doc))
+
+    def test_constructor_names_the_file_key(self):
+        with pytest.raises(ConfigError, match=r"scenario\.n_trials"):
+            RunConfig(n_trials=2.9)
+        with pytest.raises(ConfigError, match=r"embed\.delay"):
+            RunConfig(embed_delay=True)
+
+    def test_constructor_and_file_hash_agree(self):
+        built = RunConfig(rate_hz=64, lag_window_ms=(0, 125), attended_coupling=0)
+        loaded = config_from_dict(
+            {"rate_hz": 64, "lag_window_ms": [0, 125], "scenario": {"attended_coupling": 0}}
+        )
+        assert built == loaded
+        assert built.config_hash() == loaded.config_hash()
+        assert RunConfig(**field_kwargs(TINY)).config_hash() == config_from_dict(TINY).config_hash()
 
     def test_malformed_value_exit_code(self, tmp_path):
         path = write_config(tmp_path, doc={**TINY, "channel_subset": ["T7", "T7"]})
@@ -310,6 +336,18 @@ class TestPipelineVariants:
         assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
         bad = write_config(tmp_path, doc={**TINY, "channel_subset": ["XX"]}, name="bad.json")
         assert main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)]) == 3
+
+    def test_other_sampling_rate_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        fast = write_config(tmp_path, doc={**TINY, "rate_hz": 128}, name="fast.json")
+        capsys.readouterr()
+        assert main(["train", "--config", str(fast), "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        for part in ("subject s01", "trial t001", "64.0 Hz", "128.0 Hz"):
+            assert part in err
+        assert not list(out.glob("decoders/*.json"))
 
     def test_constant_stimulus_is_numerical_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -15,13 +15,13 @@ from redflow.infotheory import (
     EmbedSpec,
     estimate_covariance,
     gaussian_cmi,
-    mutual_information,
     plug_in_bias,
     te_blocks,
     transfer_entropies,
     transfer_entropy,
 )
-from redflow.signals import LagWindow, TimeSeries, lag_embed
+from redflow.decoder import build_design
+from redflow.signals import LagWindow, MultichannelRecording, TimeSeries
 from redflow.synth import VarModel, analytic_te, simulate
 
 N = 100_000
@@ -91,18 +91,18 @@ class TestMutualInformation:
         x = rng.standard_normal(N)
         y = rho * x + math.sqrt(1 - rho**2) * rng.standard_normal(N)
         oracle = -0.5 * math.log2(1 - rho**2)
-        assert abs(mutual_information(x, y) - oracle) < 0.005
+        assert abs(gaussian_cmi(x, y) - oracle) < 0.005
 
     def test_independent_below_bias_bound(self):
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(N), rng.standard_normal(N)
-        assert mutual_information(x, y) <= 10 * plug_in_bias(N, 1, 1) + 1e-4
+        assert gaussian_cmi(x, y) <= 10 * plug_in_bias(N, 1, 1) + 1e-4
 
     def test_near_copy_large_but_finite(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(N)
         y = x + 1e-3 * rng.standard_normal(N)
-        mi = mutual_information(x, y)
+        mi = gaussian_cmi(x, y)
         assert mi > 9.0
         assert math.isfinite(mi)
 
@@ -129,8 +129,8 @@ class TestEmbedSpec:
             np.testing.assert_array_equal(x[i], src[[t - 3, t - 2]])
             np.testing.assert_array_equal(c[i], tgt[[t - 3, t - 2, t - 1]])
             assert y[i, 0] == tgt[t]
-        # cross-check the source block against lag_embed truncation
-        emb = lag_embed(ts(src), LagWindow(-3, -2))
+        # cross-check the source block against the decoder's lag-design truncation
+        emb = build_design(MultichannelRecording(channels=(ts(src),)), LagWindow(-3, -2))
         np.testing.assert_array_equal(x, emb[t0 - 3 :])
 
 

@@ -8,14 +8,7 @@ import pytest
 from redflow.cli import main
 from redflow.errors import DegenerateCovariance, ShapeMismatch
 from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
-from redflow.redundancy import (
-    RateBundle,
-    bundle_from_rates,
-    directed_redundancy_bound,
-    rate_e_to_shat,
-    rate_s_to_e,
-    rate_s_to_shat,
-)
+from redflow.redundancy import RateBundle, directed_redundancy_bound
 from redflow.signals import MultichannelRecording, TimeSeries
 from redflow.synth import VarModel, analytic_te, simulate
 
@@ -37,37 +30,58 @@ def driver_target_pair(seed, n=N, coupling=0.5):
     return rec.channels[0], rec.channels[1]
 
 
-class TestRateBundleType:
-    def test_min_is_enforced(self):
-        with pytest.raises(ShapeMismatch):
-            RateBundle(
-                r_s_to_shat=0.02, r_e_to_shat=0.05, r_s_to_e=0.03, r_min=0.05,
-                argmin_channel_e_to_shat="a", argmin_channel_s_to_e="b",
-                condition="attended", subject_id="s", trial_id="t", embed=EMBED,
-            )
+def bundle(r_s_to_shat, r_e_to_shat, r_s_to_e, condition):
+    return RateBundle(
+        r_s_to_shat=r_s_to_shat, r_e_to_shat=r_e_to_shat, r_s_to_e=r_s_to_e,
+        argmin_channel_e_to_shat="a", argmin_channel_s_to_e="b",
+        condition=condition, subject_id="s", trial_id="t", embed=EMBED,
+    )
 
+
+def white(n, seed, label):
+    """Independent white noise, for the role a test does not use."""
+    return ts(np.random.default_rng(seed).standard_normal(n), label=label)
+
+
+class TestRateBundleType:
     def test_bundle_arithmetic(self):
-        b = bundle_from_rates(
-            0.02, 0.05, 0.03, "a", "b", "attended", "s", "t", EMBED
-        )
+        b = bundle(0.02, 0.05, 0.03, "attended")
         assert b.r_min == 0.02
 
     def test_condition_restricted(self):
         with pytest.raises(ShapeMismatch):
-            bundle_from_rates(0.1, 0.1, 0.1, "a", "b", "unlabeled", "s", "t", EMBED)
+            bundle(0.1, 0.1, 0.1, "unlabeled")
 
     def test_round_trips_to_dict(self):
-        b = bundle_from_rates(0.02, 0.05, 0.03, "a", "b", "distractor", "s", "t", EMBED)
+        b = bundle(0.02, 0.05, 0.03, "distractor")
         doc = b.to_dict()
         assert doc["r_min"] == 0.02
         assert doc["embed"] == {"source_history": 2, "target_history": 2, "delay": 1}
+
+
+def e_to_shat(rec, tgt, seed):
+    """E->Shat minimum and argmin of the bundle, with a white-noise stimulus."""
+    b = directed_redundancy_bound(white(len(tgt), 1000 + seed, "s"), rec, tgt, EMBED)
+    return b.r_e_to_shat, b.argmin_channel_e_to_shat
+
+
+def s_to_e(drv, rec, seed):
+    """S->E minimum and argmin of the bundle, with a white-noise reconstruction."""
+    b = directed_redundancy_bound(drv, rec, white(len(drv), 1000 + seed, "shat"), EMBED)
+    return b.r_s_to_e, b.argmin_channel_s_to_e
+
+
+def s_to_shat(s, shat, seed):
+    """S->Shat rate of the bundle, with one white-noise channel."""
+    rec = MultichannelRecording(channels=(white(len(s), 1000 + seed, "e"),))
+    return directed_redundancy_bound(s, rec, shat, EMBED).r_s_to_shat
 
 
 class TestChannelMinima:
     def test_singleton_channel(self):
         drv, tgt = driver_target_pair(0)
         rec = MultichannelRecording(channels=(drv,))
-        value, label = rate_e_to_shat(rec, tgt, EMBED)
+        value, label = e_to_shat(rec, tgt, 0)
         assert value == transfer_entropy(drv, tgt, EMBED)
         assert label == "drv"
 
@@ -76,7 +90,7 @@ class TestChannelMinima:
         rng = np.random.default_rng(1)
         noise = ts(rng.standard_normal(N), label="noise")
         rec = MultichannelRecording(channels=(drv.with_samples(drv.samples, label="drv"), noise))
-        value, label = rate_e_to_shat(rec, tgt, EMBED)
+        value, label = e_to_shat(rec, tgt, 1)
         assert label == "noise"
         assert value <= 10 * plug_in_bias(N, EMBED.source_history) + 1e-4
 
@@ -86,7 +100,7 @@ class TestChannelMinima:
             channels=(drv.with_samples(drv.samples, label="first"),
                       drv.with_samples(drv.samples, label="second"))
         )
-        value, label = rate_e_to_shat(rec, tgt, EMBED)
+        value, label = e_to_shat(rec, tgt, 2)
         assert label == "first"
 
     def test_s_to_e_mirrors(self):
@@ -94,17 +108,17 @@ class TestChannelMinima:
         rng = np.random.default_rng(3)
         noise = ts(rng.standard_normal(N), label="noise")
         rec = MultichannelRecording(channels=(tgt.with_samples(tgt.samples, label="driven"), noise))
-        value, label = rate_s_to_e(drv, rec, EMBED)
+        value, label = s_to_e(drv, rec, 3)
         assert label == "noise"
         assert value <= 10 * plug_in_bias(N, EMBED.source_history) + 1e-4
         single = MultichannelRecording(channels=(tgt,))
-        v1, l1 = rate_s_to_e(drv, single, EMBED)
+        v1, l1 = s_to_e(drv, single, 3)
         assert v1 == transfer_entropy(drv, tgt, EMBED)
         duplicated = MultichannelRecording(
             channels=(tgt.with_samples(tgt.samples, label="first"),
                       tgt.with_samples(tgt.samples, label="second"))
         )
-        _, tie_label = rate_s_to_e(drv, duplicated, EMBED)
+        _, tie_label = s_to_e(drv, duplicated, 3)
         assert tie_label == "first"
 
     def test_permutation_changes_labels_not_values(self):
@@ -113,8 +127,8 @@ class TestChannelMinima:
         other = ts(rng.standard_normal(N), label="b")
         rec_ab = MultichannelRecording(channels=(drv.with_samples(drv.samples, label="a"), other))
         rec_ba = MultichannelRecording(channels=(other, drv.with_samples(drv.samples, label="a")))
-        v_ab, _ = rate_e_to_shat(rec_ab, tgt, EMBED)
-        v_ba, _ = rate_e_to_shat(rec_ba, tgt, EMBED)
+        v_ab, _ = e_to_shat(rec_ab, tgt, 4)
+        v_ba, _ = e_to_shat(rec_ba, tgt, 4)
         assert v_ab == v_ba
 
     def test_dropping_a_channel_cannot_decrease_minimum(self):
@@ -126,12 +140,12 @@ class TestChannelMinima:
             ts(rng.standard_normal(N), label="c"),
         )
         full = MultichannelRecording(channels=chans)
-        v_full, _ = rate_e_to_shat(full, tgt, EMBED)
+        v_full, _ = e_to_shat(full, tgt, 5)
         for drop in range(3):
             subset = MultichannelRecording(
                 channels=tuple(c for i, c in enumerate(chans) if i != drop)
             )
-            v_sub, _ = rate_e_to_shat(subset, tgt, EMBED)
+            v_sub, _ = e_to_shat(subset, tgt, 5)
             assert v_sub >= v_full
 
 
@@ -140,7 +154,7 @@ class TestStimulusToReconstruction:
         rng = np.random.default_rng(6)
         s = ts(rng.standard_normal(N), label="s")
         shat = ts(rng.standard_normal(N), label="shat")
-        assert rate_s_to_shat(s, shat, EMBED) <= 10 * plug_in_bias(N, 2) + 1e-4
+        assert s_to_shat(s, shat, 6) <= 10 * plug_in_bias(N, 2) + 1e-4
 
     def test_delayed_noisy_copy_matches_oracle(self):
         # shat_t = 0.8 s_{t-1} + noise, s an AR(1): oracle via the exact
@@ -151,14 +165,14 @@ class TestStimulusToReconstruction:
         )
         oracle = analytic_te(model, 0, 1, EMBED)
         rec = simulate(model, 100_000, seed=7, rate_hz=64.0)
-        est = rate_s_to_shat(rec.channels[0], rec.channels[1], EMBED)
+        est = s_to_shat(rec.channels[0], rec.channels[1], 7)
         assert abs(est - oracle) < 0.005
 
     def test_exact_copy_degenerate(self):
         rng = np.random.default_rng(8)
         s = ts(rng.standard_normal(N), label="s")
         with pytest.raises(DegenerateCovariance):
-            rate_s_to_shat(s, s.with_samples(s.samples, label="shat"), EMBED)
+            s_to_shat(s, s.with_samples(s.samples, label="shat"), 8)
 
 
 class TestDirectedRedundancyBound:
@@ -210,9 +224,15 @@ class TestBundleKernel:
         for seed in range(3):
             s, electrodes, shat = self._system(20 + seed)
             b = directed_redundancy_bound(s, electrodes, shat, EMBED)
-            assert b.r_s_to_shat == rate_s_to_shat(s, shat, EMBED)
-            assert (b.r_e_to_shat, b.argmin_channel_e_to_shat) == rate_e_to_shat(electrodes, shat, EMBED)
-            assert (b.r_s_to_e, b.argmin_channel_s_to_e) == rate_s_to_e(s, electrodes, EMBED)
+            into_shat = [transfer_entropy(c, shat, EMBED) for c in electrodes.channels]
+            from_s = [transfer_entropy(s, c, EMBED) for c in electrodes.channels]
+            assert b.r_s_to_shat == transfer_entropy(s, shat, EMBED)
+            assert (b.r_e_to_shat, b.argmin_channel_e_to_shat) == (
+                min(into_shat), electrodes.labels[into_shat.index(min(into_shat))]
+            )
+            assert (b.r_s_to_e, b.argmin_channel_s_to_e) == (
+                min(from_s), electrodes.labels[from_s.index(min(from_s))]
+            )
 
     def test_duplicated_channels_tie_to_the_earliest(self):
         s, electrodes, shat = self._system(23)

