@@ -11,7 +11,7 @@ summarized by an ordinary least-squares line with a slope t-test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -61,15 +61,7 @@ class RateDistortionPoint:
         return to_db(self.distortion)
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "distortion": self.distortion,
-            "distortion_db": self.distortion_db,
-            "condition": self.condition,
-            "subject_id": self.subject_id,
-            "trial_id": self.trial_id,
-            "rate_kind": self.rate_kind,
-        }
+        return {**asdict(self), "distortion_db": self.distortion_db}
 
 
 @dataclass(frozen=True)
@@ -83,13 +75,7 @@ class LinearFit:
     r_squared: float
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "p_value": self.p_value,
-            "n_points": self.n_points,
-            "r_squared": self.r_squared,
-        }
+        return asdict(self)
 
 
 def distortion(rho: float) -> float:

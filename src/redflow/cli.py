@@ -36,20 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, decoder, signals, synth
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateCovariance,
-    DegenerateX,
-    NonpositiveDistortion,
-    NoPoints,
-    OutOfRange,
-    RedflowError,
-    SingularSystem,
-    TooFewSamples,
-    UnstableModel,
-    ZeroVarianceSignal,
-)
+from .errors import ConfigError, DataError, NoPoints, NumericalError, RedflowError, TooFewSamples
 from .infotheory import EmbedSpec, _te_columns, plug_in_bias
 from .redundancy import directed_redundancy_bound
 from .signals import LEFT_TEMPORAL_LABELS, LagWindow
@@ -58,16 +45,6 @@ CONFIG_VERSION = 1
 SCHEMA_VERSION = 1
 
 DEFAULT_LAMBDA_GRID = tuple(10.0**k for k in range(-6, 7))
-
-_NUMERICAL_ERRORS = (
-    DegenerateCovariance,
-    SingularSystem,
-    ZeroVarianceSignal,
-    UnstableModel,
-    DegenerateX,
-    OutOfRange,
-    NonpositiveDistortion,
-)
 
 
 def _file_key(name: str) -> tuple:
@@ -623,16 +600,10 @@ def read_rd_points(path) -> tuple[dict, list]:
             if line.startswith("#") or not line.strip():
                 continue
             doc = json.loads(line)
-            points.append(
-                analysis.RateDistortionPoint(
-                    rate=float(doc["rate"]),
-                    distortion=float(doc["distortion"]),
-                    condition=doc["condition"],
-                    subject_id=doc["subject_id"],
-                    trial_id=doc["trial_id"],
-                    rate_kind=doc["rate_kind"],
-                )
-            )
+            points.append(analysis.RateDistortionPoint(**{
+                f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
+                for f in fields(analysis.RateDistortionPoint)
+            }))
     return meta, points
 
 
@@ -729,7 +700,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except (RedflowError, OSError, json.JSONDecodeError) as exc:

@@ -5,7 +5,12 @@ class RedflowError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroVarianceSignal(RedflowError):
+class NumericalError(RedflowError):
+    """A computation has no finite or well-defined result for its input
+    (the command line reports it with exit code 4)."""
+
+
+class ZeroVarianceSignal(NumericalError):
     """A signal is constant where a non-degenerate signal is required."""
 
 
@@ -29,7 +34,7 @@ class ChannelOrderMismatch(RedflowError):
     """Recording channels do not match the decoder's channel list and order."""
 
 
-class SingularSystem(RedflowError):
+class SingularSystem(NumericalError):
     """Unregularized normal equations are rank-deficient beyond tolerance."""
 
 
@@ -41,7 +46,7 @@ class SeriesTooShort(RedflowError):
     """Series too short for the requested history embedding."""
 
 
-class DegenerateCovariance(RedflowError):
+class DegenerateCovariance(NumericalError):
     """Covariance is numerically rank-deficient; the Gaussian information
     quantity diverges or cannot be computed."""
 
@@ -58,19 +63,19 @@ class NoPoints(RedflowError):
     """An aggregation received no input points."""
 
 
-class DegenerateX(RedflowError):
+class DegenerateX(NumericalError):
     """Regressor values are all equal; slope is unidentifiable."""
 
 
-class OutOfRange(RedflowError):
+class OutOfRange(NumericalError):
     """Argument outside its mathematical domain."""
 
 
-class NonpositiveDistortion(RedflowError):
+class NonpositiveDistortion(NumericalError):
     """dB conversion requested for a distortion that is zero or negative."""
 
 
-class UnstableModel(RedflowError):
+class UnstableModel(NumericalError):
     """Autoregressive model has spectral radius >= 1 (no stationary law)."""
 
 

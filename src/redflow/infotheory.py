@@ -15,7 +15,7 @@ one source at a time, which keeps every covariance nondegenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,11 +57,7 @@ class EmbedSpec:
             raise ShapeMismatch("delay must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "source_history": self.source_history,
-            "target_history": self.target_history,
-            "delay": self.delay,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def estimate_covariance(data: np.ndarray) -> CovEstimate:
 
 def _check_rank(covs: np.ndarray, names) -> None:
     """Reject a (k, d, d) stack if a matrix has lambda_min < _RANK_RTOL * lambda_max,
-    naming the first; past this check, Cholesky of any principal submatrix succeeds."""
+    naming the first; past this check, its Cholesky factorisation succeeds."""
     eigs = np.linalg.eigvalsh(covs)
     bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
     if bad.any():
@@ -104,17 +100,21 @@ def _check_rank(covs: np.ndarray, names) -> None:
 
 def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
     """I(X; Y | C) in bits, clamped at zero, for each rank-checked covariance
-    of a (k, dim, dim) stack in [X, Y, C] column order."""
-    ic = np.arange(dx + dy, covs.shape[-1])
-    logdets = []
-    for idx in (np.r_[0:dx, ic], np.r_[dx : dx + dy, ic], ic, np.arange(covs.shape[-1])):
-        try:
-            chol = np.linalg.cholesky(covs[:, idx[:, None], idx])
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateCovariance(f"a covariance of {', '.join(names)} is singular") from exc
-        logdets.append(2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-    ld_xc, ld_yc, ld_c, ld_all = logdets
-    values = 0.5 * (ld_xc + ld_yc - ld_c - ld_all) / LN2
+    of a (k, dim, dim) stack in [C, X, Y] column order.
+
+    The last dy rows of the Cholesky factor L hold both residual covariances:
+    Cov(Y | C, X) = L_YY L_YY' and Cov(Y | C) = L_YX L_YX' + L_YY L_YY', so
+    I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one more dy x dy
+    factorisation and no difference of large log-determinants.
+    """
+    try:
+        rows = np.linalg.cholesky(covs)[:, -dy:]
+        l_yx, l_yy = rows[:, :, -dx - dy : -dy], rows[:, :, -dy:]
+        l_y_c = np.linalg.cholesky(l_yx @ l_yx.transpose(0, 2, 1) + l_yy @ l_yy.transpose(0, 2, 1))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateCovariance(f"a covariance of {', '.join(names)} is singular") from exc
+    ratios = np.diagonal(l_y_c, axis1=1, axis2=2) / np.diagonal(l_yy, axis1=1, axis2=2)
+    values = np.log(ratios).sum(axis=1) / LN2
     finite = np.isfinite(values)
     if not finite.all():
         raise DegenerateCovariance(f"non-finite determinant ratio for {names[int(np.argmin(finite))]}")
@@ -135,8 +135,8 @@ def gaussian_cmi(
 ) -> float:
     """Plug-in Gaussian conditional mutual information I(X; Y | C) in bits.
 
-    Computes ``0.5 * log2(det S_XC * det S_YC / (det S_C * det S_XYC))``
-    from the empirical joint covariance of the row-aligned blocks. With an
+    Computes ``0.5 * log2(det S_Y|C / det S_Y|XC)`` from the Cholesky factor
+    of the empirical joint covariance of the row-aligned blocks. With an
     empty conditioning block this is the Gaussian mutual information.
 
     Parameters
@@ -157,12 +157,12 @@ def gaussian_cmi(
     """
     blocks = [_as_block(x_block), _as_block(y_block)]
     if cond_block is not None and _as_block(cond_block).shape[1] > 0:
-        blocks.append(_as_block(cond_block))
+        blocks.insert(0, _as_block(cond_block))
     rows = {b.shape[0] for b in blocks}
     if len(rows) != 1:
         raise ShapeMismatch(f"blocks disagree in row count: {sorted(rows)}")
     n = rows.pop()
-    dx, dy = blocks[0].shape[1], blocks[1].shape[1]
+    dx, dy = blocks[-2].shape[1], blocks[-1].shape[1]
     dim = sum(b.shape[1] for b in blocks)
     if n < dim + 2:
         raise TooFewSamples(f"need at least dim+2 = {dim + 2} rows, got {n}")
@@ -208,7 +208,7 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     block (a window with itself, or a source window with a target window)
     is formed once; each pair's covariance is gathered from those blocks, so
     its value does not depend on the other series passed. The rank check and
-    the log-determinants run batched over the pairs. Raises as
+    the Cholesky factorisations run batched over the pairs. Raises as
     :func:`transfer_entropy` does; a ``DegenerateCovariance`` names the first
     degenerate pair as ``source->target`` using ``names`` (default: labels).
     """
@@ -224,7 +224,9 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
         raise SeriesTooShort(f"need more than {min_len} samples for this embedding, got {n}")
 
     width, src, present, past = _te_columns(e)
-    tgt = np.r_[present, past]
+    # covariance columns in [target past, source past, target present] order
+    th = e.target_history
+    xs, tpos, tgt = slice(th, th + sh), np.r_[:th, dim - 1], np.r_[past, present]
     rows = n - width + 1
     windows = np.empty((len(signals), width, rows))
     for i in {i for pair in pairs for i in pair}:
@@ -238,10 +240,10 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
             if (a, b) not in grams:
                 grams[a, b] = windows[a] @ windows[b].T
         cross = grams[i, j][src][:, tgt]
-        covs[p, :sh, :sh] = grams[i, i][src, src]
-        covs[p, :sh, sh:] = cross
-        covs[p, sh:, :sh] = cross.T
-        covs[p, sh:, sh:] = grams[j, j][np.ix_(tgt, tgt)]
+        covs[p, xs, xs] = grams[i, i][src, src]
+        covs[p][xs, tpos] = cross
+        covs[p][tpos, xs] = cross.T
+        covs[p][np.ix_(tpos, tpos)] = grams[j, j][np.ix_(tgt, tgt)]
     covs /= rows
 
     labels = [f"TE {names[i]}->{names[j]}" for i, j in pairs]

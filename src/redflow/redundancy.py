@@ -9,7 +9,7 @@ the reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,18 +44,7 @@ class RateBundle:
         return min(self.r_s_to_shat, self.r_e_to_shat, self.r_s_to_e)
 
     def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "trial_id": self.trial_id,
-            "condition": self.condition,
-            "r_s_to_shat": self.r_s_to_shat,
-            "r_e_to_shat": self.r_e_to_shat,
-            "r_s_to_e": self.r_s_to_e,
-            "r_min": self.r_min,
-            "argmin_channel_e_to_shat": self.argmin_channel_e_to_shat,
-            "argmin_channel_s_to_e": self.argmin_channel_s_to_e,
-            "embed": self.embed.to_dict(),
-        }
+        return {**asdict(self), "r_min": self.r_min}
 
 
 def _min_over_channels(values: list, labels: tuple) -> tuple[float, str]:

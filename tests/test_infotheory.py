@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, toeplitz
 
 from redflow.errors import (
     DegenerateCovariance,
@@ -11,8 +12,10 @@ from redflow.errors import (
     ShapeMismatch,
     TooFewSamples,
 )
+from redflow import synth
 from redflow.infotheory import (
     EmbedSpec,
+    _cmi_bits,
     estimate_covariance,
     gaussian_cmi,
     plug_in_bias,
@@ -262,6 +265,43 @@ class TestTransferEntropiesKernel:
             transfer_entropies((ts(rng.standard_normal(50)), ts(rng.standard_normal(60))), [(0, 1)], e)
         with pytest.raises(SeriesTooShort):
             transfer_entropies((ts(rng.standard_normal(12)), ts(rng.standard_normal(12))), [(0, 1)], e)
+
+
+class TestClosedFormAccuracy:
+    """The kernel's rounding error on covariances shaped like a 16/16 TE whose
+    CMI is known in closed form."""
+
+    @staticmethod
+    def envelope_autocovariance(lags):
+        """Toeplitz autocovariance of the unit-variance envelope AR(2)."""
+        a1, a2 = synth._ENV_A1, synth._ENV_A2
+        rho = [1.0, a1 / (1.0 - a2)]
+        while len(rho) < lags:
+            rho.append(a1 * rho[-1] + a2 * rho[-2])
+        return toeplitz(rho[:lags])
+
+    def test_small_cmi_to_1e13_bits(self):
+        # C: 16 envelope lags; X = A C + N; y = b'X + c'C + eps, so
+        # I(X; y | C) = 0.5 log2(1 + b' S_N b / var_eps) exactly.
+        d = 16
+        rng = np.random.default_rng(30)
+        gamma = self.envelope_autocovariance(d)
+        covs, exact = [], []
+        for _ in range(200):
+            a = rng.standard_normal((d, d)) / math.sqrt(d)
+            m = rng.standard_normal((d, d))
+            noise = m @ m.T / d + 0.1 * np.eye(d)
+            b = rng.standard_normal(d)
+            b *= 10.0 ** rng.uniform(-3, -1) / np.linalg.norm(b)
+            c = rng.standard_normal(d)
+            t = np.eye(2 * d + 1)
+            t[d : 2 * d, :d] = a
+            t[-1, :d], t[-1, d : 2 * d] = c + b @ a, b
+            cov = t @ block_diag(gamma, noise, [[1.0]]) @ t.T
+            covs.append(0.5 * (cov + cov.T))
+            exact.append(0.5 * math.log1p(b @ noise @ b) / math.log(2))
+        values = _cmi_bits(np.stack(covs), d, 1, ["model"] * len(covs))
+        assert np.abs(values - np.array(exact)).max() <= 1e-13
 
 
 class TestCovEstimate:
