@@ -15,7 +15,9 @@ stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
 the whole chain in memory for a simulated scenario.
 
 Every output embeds the hash of the canonical run configuration; ``report``
-refuses inputs whose hash differs from its own configuration. Outputs are
+refuses inputs whose hash differs from its own configuration. The outputs of
+``train``, ``rates`` and ``report`` also carry ``data_config_hash``, the hash
+the dataset was made with (null for a manifest without one). Outputs are
 deterministic for a given config and seed except for one ``generated_at``
 timestamp inside each file's metadata line.
 
@@ -29,7 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -214,6 +216,11 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 _STIM_SUFFIX = {"attended": "att", "distractor": "dst"}
 
+#: The rate record key behind each rate kind of a distortion-rate point.
+_RATE_KEYS = {
+    "S_to_Shat": "r_s_to_shat", "E_to_Shat": "r_e_to_shat", "S_to_E": "r_s_to_e", "Rmin": "r_min",
+}
+
 
 def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
     """Channel subset in configured order, each channel normalized; the
@@ -224,12 +231,7 @@ def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
             f"{eeg.rate_hz} Hz, config rate_hz is {config.rate_hz} Hz"
         )
     eeg = signals.select_channels(eeg, config.channel_subset)
-    return signals.MultichannelRecording(
-        channels=tuple(signals.normalize(ch) for ch in eeg.channels),
-        subject_id=eeg.subject_id,
-        trial_id=eeg.trial_id,
-        condition=eeg.condition,
-    )
+    return replace(eeg, channels=tuple(signals.normalize(ch) for ch in eeg.channels))
 
 
 def _stimulus(trial: synth.TrialData, condition: str) -> signals.TimeSeries:
@@ -275,7 +277,7 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
 
 
 def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tuple[list, list]:
-    """Rate bundle and distortion-rate points per (trial, condition).
+    """Rate record and distortion-rate points per (trial, condition).
 
     Returns (records, points) ordered by subject, trial, then condition.
     ``decoders`` maps (subject, condition) to a (Decoder, cv_curve) pair as
@@ -295,60 +297,44 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
             eeg = _prep_eeg(config, trial.eeg)
             valid = signals.lag_valid_slice(eeg.n_samples, window)
             electrodes = signals.MultichannelRecording(
-                channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels),
-                subject_id=subject,
-                trial_id=trial.trial_id,
-                condition=eeg.condition,
+                channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
             )
+            n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
             for condition in conditions:
                 dec, _ = decoders[(subject, condition)]
                 try:
-                    record, trial_points = _rate_one_trial(
-                        config, trial, condition, dec, eeg, electrodes, valid, embed
-                    )
+                    shat = signals.normalize(decoder.reconstruct(dec, eeg))
+                    stim = _stimulus(trial, condition)
+                    stim = signals.normalize(stim.with_samples(stim.samples[valid]))
+                    rho = decoder.pearson(shat, stim)
+                    record = {
+                        **directed_redundancy_bound(stim, electrodes, shat, embed).to_dict(),
+                        "condition": condition,
+                        "subject_id": subject,
+                        "trial_id": trial.trial_id,
+                        "embed": embed.to_dict(),
+                        "rho": rho,
+                        "distortion": analysis.distortion(rho),
+                        "lambda": dec.lam,
+                        "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
+                    }
                 except RedflowError as exc:
                     raise type(exc)(
                         f"subject {subject}, trial {trial.trial_id}, {condition}: {exc}"
                     ) from exc
                 records.append(record)
-                points.extend(trial_points)
+                points.extend(
+                    analysis.RateDistortionPoint(
+                        rate=record[_RATE_KEYS[kind]],
+                        distortion=record["distortion"],
+                        condition=condition,
+                        subject_id=subject,
+                        trial_id=trial.trial_id,
+                        rate_kind=kind,
+                    )
+                    for kind in analysis.RATE_KINDS
+                )
     return records, points
-
-
-def _rate_one_trial(config, trial, condition, dec, eeg, electrodes, valid, embed):
-    shat = signals.normalize(decoder.reconstruct(dec, eeg))
-    stim = signals.normalize(_stimulus(trial, condition))
-    stim_valid = signals.normalize(stim.with_samples(stim.samples[valid]))
-    rho = decoder.pearson(shat, stim_valid)
-    dist = analysis.distortion(rho)
-    bundle = directed_redundancy_bound(
-        stim_valid, electrodes, shat, embed,
-        condition=condition, subject_id=trial.subject_id, trial_id=trial.trial_id,
-    )
-    n_te_rows = len(shat) - _te_columns(embed)[0] + 1
-    record = bundle.to_dict()
-    record["rho"] = rho
-    record["distortion"] = dist
-    record["lambda"] = dec.lam
-    record["plug_in_bias_bits"] = plug_in_bias(n_te_rows, embed.source_history)
-    rates = {
-        "S_to_Shat": bundle.r_s_to_shat,
-        "E_to_Shat": bundle.r_e_to_shat,
-        "S_to_E": bundle.r_s_to_e,
-        "Rmin": bundle.r_min,
-    }
-    trial_points = [
-        analysis.RateDistortionPoint(
-            rate=rates[kind],
-            distortion=dist,
-            condition=condition,
-            subject_id=trial.subject_id,
-            trial_id=trial.trial_id,
-            rate_kind=kind,
-        )
-        for kind in analysis.RATE_KINDS
-    ]
-    return record, trial_points
 
 
 def build_report(config: RunConfig, points, conditions, rate_kinds=analysis.RATE_KINDS):
@@ -423,9 +409,10 @@ def analyze_scenario(config: RunConfig, conditions=("attended", "distractor")):
 # File-backed stages
 # ---------------------------------------------------------------------------
 
-def _run_meta(config: RunConfig) -> dict:
+def _run_meta(config: RunConfig, data_hash: str | None) -> dict:
     return {
         "config_hash": config.config_hash(),
+        "data_config_hash": data_hash,
         "seed": config.seed,
         "embed": config.embed().to_dict(),
         "lag_window": [config.lag_window().tau_min, config.lag_window().tau_max],
@@ -504,6 +491,11 @@ def _load_manifest(data_dir: Path) -> dict:
     return manifest
 
 
+def _data_hash(data_dir) -> str | None:
+    """The config hash the dataset's manifest carries, or None."""
+    return _load_manifest(Path(data_dir)).get("config_hash")
+
+
 def load_trials(data_dir) -> list:
     """Read every trial of a dataset directory into memory."""
     data_dir = Path(data_dir)
@@ -545,10 +537,10 @@ def _decoder_path(out_dir: Path, subject: str, condition: str) -> Path:
 def cmd_train(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """Cross-validate lambda and fit one decoder per (subject, condition)."""
     fitted = train_decoders(config, load_trials(data_dir), conditions)
-    _write_decoders(config, Path(out_dir), fitted)
+    _write_decoders(config, Path(out_dir), fitted, _data_hash(data_dir))
 
 
-def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict) -> None:
+def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict, data_hash) -> None:
     (out_dir / "decoders").mkdir(parents=True, exist_ok=True)
     for (subject, condition), (dec, mean_rho) in sorted(fitted.items()):
         decoder.save_decoder(
@@ -556,6 +548,7 @@ def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict) -> None:
             _decoder_path(out_dir, subject, condition),
             extra_meta={
                 "config_hash": config.config_hash(),
+                "data_config_hash": data_hash,
                 "subject_id": subject,
                 "condition": condition,
                 "cv_lambdas": list(config.lambda_grid),
@@ -573,11 +566,12 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "dis
         for condition in conditions:
             path = _decoder_path(out_dir, subject, condition)
             decoders[(subject, condition)] = (decoder.load_decoder(path), None)
-    _write_rates(config, out_dir, *compute_rates(config, trials, decoders, conditions))
+    records, points = compute_rates(config, trials, decoders, conditions)
+    _write_rates(config, out_dir, records, points, _data_hash(data_dir))
 
 
-def _write_rates(config: RunConfig, out_dir: Path, records, points) -> None:
-    meta = _run_meta(config)
+def _write_rates(config: RunConfig, out_dir: Path, records, points, data_hash) -> None:
+    meta = _run_meta(config, data_hash)
     _write_with_meta(
         out_dir / "rates.ndjson", meta,
         [json.dumps(r, sort_keys=True) for r in records],
@@ -621,11 +615,12 @@ def cmd_report(
             f"config hash mismatch: rd_points carries {in_meta.get('config_hash')!r}, "
             f"current config is {config.config_hash()!r}"
         )
-    _write_report(config, out_dir, *build_report(config, points, conditions, rate_kinds))
+    report = build_report(config, points, conditions, rate_kinds)
+    _write_report(config, out_dir, *report, in_meta.get("data_config_hash"))
 
 
-def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits) -> None:
-    meta = _run_meta(config)
+def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits, data_hash) -> None:
+    meta = _run_meta(config, data_hash)
     _write_with_meta(out_dir / "pdf.csv", meta, pdf_rows)
     _write_with_meta(out_dir / "rd_curve.csv", meta, curve_rows)
     signals.write_json(out_dir / "fits.json", {"meta": meta, "fits": fits})
@@ -634,13 +629,13 @@ def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits) 
 def cmd_all(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """The four stages on the simulated trials in memory: each file is
     written once, by the same writer as its stage, and none is read back."""
-    out_dir = Path(out_dir)
+    out_dir, data_hash = Path(out_dir), config.config_hash()
     trials = cmd_simulate(config, data_dir)
     fitted = train_decoders(config, trials, conditions)
-    _write_decoders(config, out_dir, fitted)
+    _write_decoders(config, out_dir, fitted, data_hash)
     records, points = compute_rates(config, trials, fitted, conditions)
-    _write_rates(config, out_dir, records, points)
-    _write_report(config, out_dir, *build_report(config, points, conditions))
+    _write_rates(config, out_dir, records, points, data_hash)
+    _write_report(config, out_dir, *build_report(config, points, conditions), data_hash)
 
 
 # ---------------------------------------------------------------------------

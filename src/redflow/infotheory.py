@@ -206,8 +206,9 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     ``signals[j]`` for ``pairs[p] == (i, j)``, on the valid rows of
     :func:`te_blocks`. Each series' lag window is centred once and each Gram
     block (a window with itself, or a source window with a target window)
-    is formed once; each pair's covariance is gathered from those blocks, so
-    its value does not depend on the other series passed. The rank check and
+    is formed once. Each pair's blocks are copied into one block Gram, and
+    its covariance is gathered from that with one fixed index, so its value
+    does not depend on the other series passed. The rank check and
     the Cholesky factorisations run batched over the pairs. Raises as
     :func:`transfer_entropy` does; a ``DegenerateCovariance`` names the first
     degenerate pair as ``source->target`` using ``names`` (default: labels).
@@ -225,26 +226,22 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
 
     width, src, present, past = _te_columns(e)
     # covariance columns in [target past, source past, target present] order
-    th = e.target_history
-    xs, tpos, tgt = slice(th, th + sh), np.r_[:th, dim - 1], np.r_[past, present]
+    # within the block Gram [[G_jj, G_ij'], [G_ij, G_ii]] of target j, source i
+    cols = np.arange(width)
+    order = np.r_[cols[past], width + cols[src], cols[present]]
+    gather = np.ix_(order, order)
     rows = n - width + 1
     windows = np.empty((len(signals), width, rows))
     for i in {i for pair in pairs for i in pair}:
         # the transposed lag window: row c is window column c over all rows
         window = lag_view(signals[i].samples, 0, width, rows)
         np.subtract(window, window.mean(axis=1, keepdims=True), out=windows[i])
-    grams = {}
-    covs = np.empty((len(pairs), dim, dim))
-    for p, (i, j) in enumerate(pairs):
-        for a, b in ((i, i), (i, j), (j, j)):
-            if (a, b) not in grams:
-                grams[a, b] = windows[a] @ windows[b].T
-        cross = grams[i, j][src][:, tgt]
-        covs[p, xs, xs] = grams[i, i][src, src]
-        covs[p][xs, tpos] = cross
-        covs[p][tpos, xs] = cross.T
-        covs[p][np.ix_(tpos, tpos)] = grams[j, j][np.ix_(tgt, tgt)]
-    covs /= rows
+    needed = {ab for i, j in pairs for ab in ((i, i), (i, j), (j, j))}
+    grams = {(a, b): windows[a] @ windows[b].T for a, b in needed}
+    block_grams = np.stack(
+        [np.block([[grams[j, j], grams[i, j].T], [grams[i, j], grams[i, i]]]) for i, j in pairs]
+    )
+    covs = block_grams[:, gather[0], gather[1]] / rows
 
     labels = [f"TE {names[i]}->{names[j]}" for i, j in pairs]
     finite = np.isfinite(covs).all(axis=(1, 2))

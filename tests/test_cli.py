@@ -1,6 +1,7 @@
 """Configuration handling and the file-backed pipeline stages."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,18 @@ def strip_timestamp(path):
             line = "# meta " + json.dumps(doc, sort_keys=True)
         out.append(line)
     return "\n".join(out)
+
+
+def output_metas(out):
+    """Name and metadata of every output of train, rates and report."""
+    metas = {
+        path.name: json.loads(path.read_text())["meta"]
+        for path in sorted((out / "decoders").glob("*.json"))
+    }
+    for name in ("rates.ndjson", "rd_points.ndjson", "pdf.csv", "rd_curve.csv"):
+        metas[name] = json.loads((out / name).read_text().splitlines()[0][len("# meta "):])
+    metas["fits.json"] = json.loads((out / "fits.json").read_text())["meta"]
+    return metas
 
 
 def field_kwargs(doc):
@@ -220,15 +233,22 @@ class TestPipeline:
         assert manifest["config_hash"] == expected
         sidecar = json.loads((data / "s01" / "t001_eeg.json").read_text())
         assert sidecar["config_hash"] == expected
-        for cond in ("attended", "distractor"):
-            dec = json.loads((out / "decoders" / f"s01_{cond}.json").read_text())
-            assert dec["meta"]["config_hash"] == expected
-        for name in ("rates.ndjson", "rd_points.ndjson", "pdf.csv", "rd_curve.csv"):
-            meta = json.loads(
-                (out / name).read_text().splitlines()[0][len("# meta "):]
-            )
-            assert meta["config_hash"] == expected
-        assert json.loads((out / "fits.json").read_text())["meta"]["config_hash"] == expected
+        metas = output_metas(out)
+        assert len(metas) == 4 + 5  # decoders, then the rates and report files
+        for name, meta in metas.items():
+            assert meta["config_hash"] == expected, name
+            assert meta["data_config_hash"] == expected, name
+
+    def test_records_carry_the_readme_keys(self, run_dirs):
+        _, _, _, out = run_dirs
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        bullet = text.split("- `out/rates.ndjson`", 1)[1].split("\n- ", 1)[0]
+        documented = set(re.findall(r"`([^`]+)`", bullet))
+        assert len(documented) == 14
+        for line in read_nonmeta_lines(out / "rates.ndjson"):
+            record = json.loads(line)
+            assert set(record) == documented
+            assert record["embed"] == TINY["embed"]
 
     def test_report_refuses_other_config(self, run_dirs, tmp_path):
         root, cfg_path, data, out = run_dirs
@@ -271,6 +291,23 @@ class TestPipeline:
 
 
 class TestPipelineVariants:
+    def test_outputs_name_the_dataset_config(self, tmp_path):
+        # data simulated at seed 1, the later stages run at seed 5: every
+        # output names both configs, and the run is not refused
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+        assert main(["simulate", *args, "--seed", "1"]) == 0
+        for command in ("train", "rates", "report"):
+            assert main([command, *args, "--seed", "5"]) == 0, command
+        data_hash = load_config(cfg_path, seed_override=1).config_hash()
+        run_hash = load_config(cfg_path, seed_override=5).config_hash()
+        assert data_hash != run_hash
+        assert json.loads((data / "manifest.json").read_text())["config_hash"] == data_hash
+        for name, meta in output_metas(out).items():
+            assert meta["config_hash"] == run_hash, name
+            assert meta["data_config_hash"] == data_hash, name
+
     def test_condition_filter(self, tmp_path):
         cfg_path = write_config(tmp_path)
         data, out = tmp_path / "data", tmp_path / "out"

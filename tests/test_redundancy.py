@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from redflow.cli import main
-from redflow.errors import DegenerateCovariance, ShapeMismatch
+from redflow.errors import DegenerateCovariance
 from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
 from redflow.redundancy import RateBundle, directed_redundancy_bound
 from redflow.signals import MultichannelRecording, TimeSeries
@@ -30,11 +30,10 @@ def driver_target_pair(seed, n=N, coupling=0.5):
     return rec.channels[0], rec.channels[1]
 
 
-def bundle(r_s_to_shat, r_e_to_shat, r_s_to_e, condition):
+def bundle(r_s_to_shat, r_e_to_shat, r_s_to_e):
     return RateBundle(
         r_s_to_shat=r_s_to_shat, r_e_to_shat=r_e_to_shat, r_s_to_e=r_s_to_e,
         argmin_channel_e_to_shat="a", argmin_channel_s_to_e="b",
-        condition=condition, subject_id="s", trial_id="t", embed=EMBED,
     )
 
 
@@ -45,18 +44,13 @@ def white(n, seed, label):
 
 class TestRateBundleType:
     def test_bundle_arithmetic(self):
-        b = bundle(0.02, 0.05, 0.03, "attended")
+        b = bundle(0.02, 0.05, 0.03)
         assert b.r_min == 0.02
 
-    def test_condition_restricted(self):
-        with pytest.raises(ShapeMismatch):
-            bundle(0.1, 0.1, 0.1, "unlabeled")
-
     def test_round_trips_to_dict(self):
-        b = bundle(0.02, 0.05, 0.03, "distractor")
+        b = bundle(0.02, 0.05, 0.03)
         doc = b.to_dict()
         assert doc["r_min"] == 0.02
-        assert doc["embed"] == {"source_history": 2, "target_history": 2, "delay": 1}
 
 
 def e_to_shat(rec, tgt, seed):
@@ -195,7 +189,7 @@ class TestDirectedRedundancyBound:
 
     def test_min_property_exact(self):
         s, electrodes, shat = self._system(9)
-        b = directed_redundancy_bound(s, electrodes, shat, EMBED, subject_id="s", trial_id="t")
+        b = directed_redundancy_bound(s, electrodes, shat, EMBED)
         assert b.r_min == min(b.r_s_to_shat, b.r_e_to_shat, b.r_s_to_e)
         assert b.r_min <= b.r_s_to_shat
         assert b.r_min <= b.r_e_to_shat
