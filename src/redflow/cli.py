@@ -31,6 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -226,16 +227,22 @@ def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
     """Channel subset in configured order, each channel normalized; the
     recording must be sampled at the configured rate."""
     if eeg.rate_hz != config.rate_hz:
-        raise DataError(
-            f"subject {eeg.subject_id}, trial {eeg.trial_id}: recorded at "
-            f"{eeg.rate_hz} Hz, config rate_hz is {config.rate_hz} Hz"
-        )
+        raise DataError(f"recorded at {eeg.rate_hz} Hz, config rate_hz is {config.rate_hz} Hz")
     eeg = signals.select_channels(eeg, config.channel_subset)
     return replace(eeg, channels=tuple(signals.normalize(ch) for ch in eeg.channels))
 
 
 def _stimulus(trial: synth.TrialData, condition: str) -> signals.TimeSeries:
     return trial.attended if condition == "attended" else trial.distractor
+
+
+@contextmanager
+def _context(where: str):
+    """Re-raise a package error with ``where`` (the trial's identity) in front."""
+    try:
+        yield
+    except RedflowError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _by_subject(trials) -> dict:
@@ -260,11 +267,12 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
         per_cond = {c: [] for c in conditions}
         labels = None
         for trial in subject_trials:
-            eeg = _prep_eeg(config, trial.eeg)
+            with _context(f"subject {subject}, trial {trial.trial_id}"):
+                eeg = _prep_eeg(config, trial.eeg)
+                stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
+                for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
+                    per_cond[condition].append(stats)
             labels = eeg.labels
-            stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
-            for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
-                per_cond[condition].append(stats)
         for condition in conditions:
             best_lam, mean_rho = decoder.cross_validate_stats(
                 per_cond[condition], config.lambda_grid
@@ -294,15 +302,17 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
             if (subject, condition) not in decoders:
                 raise DataError(f"no decoder for subject {subject}, {condition}")
         for trial in subject_trials:
-            eeg = _prep_eeg(config, trial.eeg)
-            valid = signals.lag_valid_slice(eeg.n_samples, window)
-            electrodes = signals.MultichannelRecording(
-                channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
-            )
+            where = f"subject {subject}, trial {trial.trial_id}"
+            with _context(where):
+                eeg = _prep_eeg(config, trial.eeg)
+                valid = signals.lag_valid_slice(eeg.n_samples, window)
+                electrodes = signals.MultichannelRecording(
+                    channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
+                )
             n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
             for condition in conditions:
                 dec, _ = decoders[(subject, condition)]
-                try:
+                with _context(f"{where}, {condition}"):
                     shat = signals.normalize(decoder.reconstruct(dec, eeg))
                     stim = _stimulus(trial, condition)
                     stim = signals.normalize(stim.with_samples(stim.samples[valid]))
@@ -318,10 +328,6 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
                         "lambda": dec.lam,
                         "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
                     }
-                except RedflowError as exc:
-                    raise type(exc)(
-                        f"subject {subject}, trial {trial.trial_id}, {condition}: {exc}"
-                    ) from exc
                 records.append(record)
                 points.extend(
                     analysis.RateDistortionPoint(
@@ -455,14 +461,8 @@ def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
         subject_dir.mkdir(parents=True, exist_ok=True)
         base = subject_dir / trial.trial_id
         signals.write_recording(trial.eeg, Path(str(base) + "_eeg.csv"), extra_meta=stamp)
-        for condition in ("attended", "distractor"):
-            rec = signals.MultichannelRecording(
-                channels=(_stimulus(trial, condition),),
-                subject_id=trial.subject_id,
-                trial_id=trial.trial_id,
-                condition=condition,
-            )
-            suffix = _STIM_SUFFIX[condition]
+        for condition, suffix in _STIM_SUFFIX.items():
+            rec = signals.MultichannelRecording(channels=(_stimulus(trial, condition),))
             signals.write_recording(rec, Path(f"{base}_{suffix}.csv"), extra_meta=stamp)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -488,16 +488,23 @@ def _load_manifest(data_dir: Path) -> dict:
     for key in ("subjects", "trials_per_subject"):
         if key not in manifest:
             raise DataError(f"{path}: missing key {key!r}")
+    subjects = manifest["subjects"]
+    if not (
+        isinstance(subjects, list)
+        and all(isinstance(s, str) for s in subjects)
+        and len(set(subjects)) == len(subjects)
+    ):
+        raise DataError(f"{path}: subjects must be a list of distinct strings, got {subjects!r}")
     return manifest
 
 
-def _data_hash(data_dir) -> str | None:
-    """The config hash the dataset's manifest carries, or None."""
-    return _load_manifest(Path(data_dir)).get("config_hash")
+def load_trials(data_dir) -> tuple[list, str | None]:
+    """Read every trial of a dataset directory into memory.
 
-
-def load_trials(data_dir) -> list:
-    """Read every trial of a dataset directory into memory."""
+    A trial's identity comes from the layout alone: the subject from the
+    manifest (and its directory), the trial from the file stem. Returns the
+    trials and the manifest's ``config_hash`` (None if it has none).
+    """
     data_dir = Path(data_dir)
     manifest = _load_manifest(data_dir)
     trials = []
@@ -517,17 +524,12 @@ def load_trials(data_dir) -> list:
             )
         for trial_id in trial_ids:
             base = subject_dir / trial_id
-            eeg = signals.read_recording(Path(str(base) + "_eeg.csv"))
-            att = signals.read_recording(Path(str(base) + "_att.csv"))
-            dst = signals.read_recording(Path(str(base) + "_dst.csv"))
-            trials.append(
-                synth.TrialData(
-                    attended=att.channels[0],
-                    distractor=dst.channels[0],
-                    eeg=eeg,
-                )
+            eeg, att, dst = (
+                signals.read_recording(Path(f"{base}_{suffix}.csv"))
+                for suffix in ("eeg", *_STIM_SUFFIX.values())
             )
-    return trials
+            trials.append(synth.TrialData(subject, trial_id, att.channels[0], dst.channels[0], eeg))
+    return trials, manifest.get("config_hash")
 
 
 def _decoder_path(out_dir: Path, subject: str, condition: str) -> Path:
@@ -536,8 +538,8 @@ def _decoder_path(out_dir: Path, subject: str, condition: str) -> Path:
 
 def cmd_train(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """Cross-validate lambda and fit one decoder per (subject, condition)."""
-    fitted = train_decoders(config, load_trials(data_dir), conditions)
-    _write_decoders(config, Path(out_dir), fitted, _data_hash(data_dir))
+    trials, data_hash = load_trials(data_dir)
+    _write_decoders(config, Path(out_dir), train_decoders(config, trials, conditions), data_hash)
 
 
 def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict, data_hash) -> None:
@@ -560,14 +562,14 @@ def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict, data_hash) -
 def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """Reconstruct, correlate, and compute the rate bundle per trial."""
     out_dir = Path(out_dir)
-    trials = load_trials(data_dir)
+    trials, data_hash = load_trials(data_dir)
     decoders = {}
     for subject in sorted({t.subject_id for t in trials}):
         for condition in conditions:
             path = _decoder_path(out_dir, subject, condition)
             decoders[(subject, condition)] = (decoder.load_decoder(path), None)
     records, points = compute_rates(config, trials, decoders, conditions)
-    _write_rates(config, out_dir, records, points, _data_hash(data_dir))
+    _write_rates(config, out_dir, records, points, data_hash)
 
 
 def _write_rates(config: RunConfig, out_dir: Path, records, points, data_hash) -> None:
@@ -590,14 +592,19 @@ def read_rd_points(path) -> tuple[dict, list]:
     meta = _read_meta_line(path)
     points = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue
-            doc = json.loads(line)
-            points.append(analysis.RateDistortionPoint(**{
-                f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
-                for f in fields(analysis.RateDistortionPoint)
-            }))
+            try:
+                doc = json.loads(line)
+                points.append(analysis.RateDistortionPoint(**{
+                    f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
+                    for f in fields(analysis.RateDistortionPoint)
+                }))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(
+                    f"{path}, line {lineno}: malformed point ({type(exc).__name__}: {exc})"
+                ) from None
     return meta, points
 
 

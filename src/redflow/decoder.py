@@ -193,14 +193,11 @@ def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> list:
     ShapeMismatch
         If a stimulus disagrees with the recording in rate or length.
     """
-    where = f"subject {r.subject_id!r}, trial {r.trial_id!r}"
     for s in stimuli:
         if s.rate_hz != r.rate_hz:
-            raise ShapeMismatch(f"{where}: stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
+            raise ShapeMismatch(f"stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
         if len(s) != r.n_samples:
-            raise ShapeMismatch(
-                f"{where}: stimulus length {len(s)} != recording length {r.n_samples}"
-            )
+            raise ShapeMismatch(f"stimulus length {len(s)} != recording length {r.n_samples}")
     design = build_design(r, w)
     gram = design.T @ design
     col_sums = design.sum(axis=0)
@@ -326,10 +323,13 @@ def load_decoder(path) -> Decoder:
         raise DataError(
             f"{path}: unsupported decoder format version {doc.get('format_version')!r}"
         )
-    return Decoder(
-        weights=np.array(doc["weights"], dtype=np.float64),
-        lag_window=LagWindow(int(doc["tau_min"]), int(doc["tau_max"])),
-        lam=float(doc["lambda"]),
-        channel_labels=tuple(doc["channel_labels"]),
-        train_rate_hz=float(doc["rate_hz"]),
-    )
+    try:
+        return Decoder(
+            weights=np.array(doc["weights"], dtype=np.float64),
+            lag_window=LagWindow(int(doc["tau_min"]), int(doc["tau_max"])),
+            lam=float(doc["lambda"]),
+            channel_labels=tuple(doc["channel_labels"]),
+            train_rate_hz=float(doc["rate_hz"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed decoder ({type(exc).__name__}: {exc})") from None

@@ -28,8 +28,6 @@ from .errors import (
     ZeroVarianceSignal,
 )
 
-CONDITIONS = ("attended", "distractor", "unlabeled")
-
 #: Left-temporal electrode subset in the extended 10-20 64-channel layout,
 #: used as the default channel selection for rate analysis.
 LEFT_TEMPORAL_LABELS = ("FT7", "T7", "TP7", "CP5", "FC5", "C5")
@@ -38,7 +36,7 @@ LEFT_TEMPORAL_LABELS = ("FT7", "T7", "TP7", "CP5", "FC5", "C5")
 def _as_samples(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise ShapeMismatch(f"samples must be 1-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ShapeMismatch("samples must be finite (no NaN/Inf)")
     arr = arr.copy()
@@ -90,23 +88,16 @@ class MultichannelRecording:
     """Aligned set of channels for one trial.
 
     All channels must share the sampling rate and length, and labels must be
-    unique. ``condition`` is one of ``attended``, ``distractor``,
-    ``unlabeled``.
+    unique. A recording holds only its channels; which subject, trial and
+    stimulus it belongs to is the caller's to keep.
     """
 
     channels: tuple
-    subject_id: str = ""
-    trial_id: str = ""
-    condition: str = "unlabeled"
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
         if not self.channels:
             raise ShapeMismatch("recording needs at least one channel")
-        if self.condition not in CONDITIONS:
-            raise ShapeMismatch(
-                f"condition must be one of {CONDITIONS}, got {self.condition!r}"
-            )
         rate = self.channels[0].rate_hz
         n = len(self.channels[0])
         for ch in self.channels:
@@ -141,13 +132,7 @@ class MultichannelRecording:
         return np.column_stack([ch.samples for ch in self.channels])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultichannelRecording)
-            and self.subject_id == other.subject_id
-            and self.trial_id == other.trial_id
-            and self.condition == other.condition
-            and self.channels == other.channels
-        )
+        return isinstance(other, MultichannelRecording) and self.channels == other.channels
 
 
 @dataclass(frozen=True)
@@ -259,8 +244,7 @@ def lag_view(samples: np.ndarray, start: int, rows: int, width: int) -> np.ndarr
 def select_channels(r: MultichannelRecording, labels) -> MultichannelRecording:
     """Subset and reorder channels by label.
 
-    Output channel order follows the requested order; all other metadata is
-    preserved.
+    Output channel order follows the requested order.
 
     Raises
     ------
@@ -273,12 +257,7 @@ def select_channels(r: MultichannelRecording, labels) -> MultichannelRecording:
         if lab not in by_label:
             raise UnknownChannel(lab)
         picked.append(by_label[lab])
-    return MultichannelRecording(
-        channels=tuple(picked),
-        subject_id=r.subject_id,
-        trial_id=r.trial_id,
-        condition=r.condition,
-    )
+    return MultichannelRecording(channels=tuple(picked))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +277,7 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
 
     CSV layout: header row ``t,<label>,...``; first column is time in
     seconds, remaining columns one per channel. The sidecar (same path with
-    ``.json``) carries ``subject_id``, ``trial_id``, ``condition``,
-    ``rate_hz``, plus any ``extra_meta`` entries.
+    ``.json``) carries ``rate_hz`` plus any ``extra_meta`` entries.
     """
     csv_path = Path(csv_path)
     rows = np.column_stack(
@@ -310,20 +288,14 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
         # repr of a finite float never needs CSV quoting and round-trips exactly;
         # "\r\n" is csv.writer's line terminator.
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-    meta = dict(extra_meta or {})
-    meta.update(
-        subject_id=r.subject_id,
-        trial_id=r.trial_id,
-        condition=r.condition,
-        rate_hz=r.rate_hz,
-    )
-    write_json(csv_path.with_suffix(".json"), meta)
+    write_json(csv_path.with_suffix(".json"), {**(extra_meta or {}), "rate_hz": r.rate_hz})
 
 
 def read_recording(csv_path) -> MultichannelRecording:
     """Read a recording written by :func:`write_recording`.
 
-    Lines starting with ``#`` and blank lines are skipped.
+    Lines starting with ``#`` and blank lines are skipped. The sidecar must
+    carry ``rate_hz``; any other key is ignored.
 
     Raises
     ------
@@ -339,9 +311,12 @@ def read_recording(csv_path) -> MultichannelRecording:
         raise DataError(f"metadata sidecar not found: {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    for key in ("subject_id", "trial_id", "condition", "rate_hz"):
-        if key not in meta:
-            raise DataError(f"{meta_path}: missing metadata key {key!r}")
+    if "rate_hz" not in meta:
+        raise DataError(f"{meta_path}: missing metadata key 'rate_hz'")
+    try:
+        rate = float(meta["rate_hz"])
+    except (TypeError, ValueError):
+        raise DataError(f"{meta_path}: rate_hz must be a number, got {meta['rate_hz']!r}") from None
     with open(csv_path, newline="") as fh:
         header = next(
             (row for row in csv.reader(fh) if row and not row[0].startswith("#")), None
@@ -366,13 +341,7 @@ def read_recording(csv_path) -> MultichannelRecording:
         raise DataError(
             f"{csv_path}: ragged rows ({values.shape[1]} columns, header has {len(header)})"
         )
-    rate = float(meta["rate_hz"])
     channels = tuple(
         TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels, start=1)
     )
-    return MultichannelRecording(
-        channels=channels,
-        subject_id=str(meta["subject_id"]),
-        trial_id=str(meta["trial_id"]),
-        condition=str(meta["condition"]),
-    )
+    return MultichannelRecording(channels=channels)

@@ -163,14 +163,7 @@ def burn_in_length(model: VarModel) -> int:
     return int(math.ceil(10.0 / -math.log(rho)))
 
 
-def simulate(
-    model: VarModel,
-    n: int,
-    seed: int,
-    rate_hz: float = 1.0,
-    subject_id: str = "sim",
-    trial_id: str = "t000",
-) -> MultichannelRecording:
+def simulate(model: VarModel, n: int, seed: int, rate_hz: float = 1.0) -> MultichannelRecording:
     """Sample a stationary VAR trajectory.
 
     The first ``burn_in_length(model)`` steps (from a zero initial state)
@@ -190,9 +183,7 @@ def simulate(
     channels = tuple(
         TimeSeries(lab, rate_hz, out[:, i]) for i, lab in enumerate(model.labels)
     )
-    return MultichannelRecording(
-        channels=channels, subject_id=subject_id, trial_id=trial_id, condition="unlabeled"
-    )
+    return MultichannelRecording(channels=channels)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +222,13 @@ class AadScenario:
 
 @dataclass(frozen=True, eq=False)
 class TrialData:
-    """One simulated trial: the two stimulus envelopes plus the recording."""
+    """One trial: its identity, the two stimulus envelopes and the recording."""
 
+    subject_id: str
+    trial_id: str
     attended: TimeSeries
     distractor: TimeSeries
     eeg: MultichannelRecording
-
-    @property
-    def subject_id(self) -> str:
-        return self.eeg.subject_id
-
-    @property
-    def trial_id(self) -> str:
-        return self.eeg.trial_id
 
 
 def _ar2_unit_variance_scale(a1: float, a2: float) -> float:
@@ -329,17 +314,13 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
                 channels.append(
                     TimeSeries(labels[c], rate_hz, _ar1_filter(drive, ar_coefs[c])[_SCENARIO_BURN:])
                 )
-            eeg = MultichannelRecording(
-                channels=tuple(channels),
-                subject_id=subject_id,
-                trial_id=trial_id,
-                condition="unlabeled",
-            )
             trials.append(
                 TrialData(
+                    subject_id=subject_id,
+                    trial_id=trial_id,
                     attended=TimeSeries("attended_envelope", rate_hz, env_att[_SCENARIO_BURN:]),
                     distractor=TimeSeries("distractor_envelope", rate_hz, env_dist[_SCENARIO_BURN:]),
-                    eeg=eeg,
+                    eeg=MultichannelRecording(channels=tuple(channels)),
                 )
             )
     return trials

@@ -352,6 +352,62 @@ class TestPipelineVariants:
                      "--out", str(tmp_path / "out")]) == 3
         assert "subject s02" in capsys.readouterr().err
 
+    def test_identity_comes_from_the_layout(self, tmp_path):
+        # a sidecar that names another subject changes nothing: each
+        # (subject, trial, condition) is rated once, by its own decoder
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+        assert main(["simulate", *args]) == 0
+        sidecar = data / "s02" / "t001_eeg.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "subject_id": "s01"}))
+        for command in ("train", "rates"):
+            assert main([command, *args]) == 0, command
+        records = [json.loads(l) for l in read_nonmeta_lines(out / "rates.ndjson")]
+        keys = [(r["subject_id"], r["trial_id"], r["condition"]) for r in records]
+        n_subjects, n_trials = TINY["scenario"]["n_subjects"], TINY["scenario"]["n_trials"]
+        assert sorted(keys) == [
+            (f"s{s:02d}", f"t{t:03d}", c)
+            for s in range(1, n_subjects + 1)
+            for t in range(1, n_trials + 1)
+            for c in ("attended", "distractor")
+        ]
+
+    def test_short_stimulus_names_the_trial(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        stim = data / "s01" / "t001_att.csv"
+        stim.write_text("\n".join(stim.read_text().splitlines()[:-10]) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "subject s01, trial t001" in err and "stimulus length" in err
+
+    @pytest.mark.parametrize("case", ["decoder-lambda", "point-rate", "sidecar-rate"])
+    def test_malformed_input_file_is_data_error(self, tmp_path, capsys, case):
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+        assert main(["all", *args]) == 0
+        if case == "decoder-lambda":
+            command, path = "rates", out / "decoders" / "s01_attended.json"
+            doc = json.loads(path.read_text())
+            del doc["lambda"]
+            path.write_text(json.dumps(doc))
+        elif case == "point-rate":
+            command, path = "report", out / "rd_points.ndjson"
+            lines = path.read_text().splitlines()
+            point = json.loads(lines[1])
+            del point["rate"]
+            path.write_text("\n".join([lines[0], json.dumps(point), *lines[2:]]) + "\n")
+        else:
+            command, path = "train", data / "s01" / "t002_eeg.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "rate_hz": "fast"}))
+        capsys.readouterr()
+        assert main([command, *args]) == 3
+        assert path.name in capsys.readouterr().err
+
     def test_manifest_without_trial_count_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
         data = tmp_path / "data"
@@ -360,6 +416,16 @@ class TestPipelineVariants:
         del manifest["trials_per_subject"]
         (data / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="trials_per_subject"):
+            cli.load_trials(data)
+
+    def test_manifest_with_repeated_subject_is_data_error(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["subjects"] = ["s01", "s02", "s01"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="distinct strings"):
             cli.load_trials(data)
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -433,9 +499,7 @@ class TestPipelineVariants:
                 chans = tuple(
                     TimeSeries(lab, 64.0, rng.standard_normal(n)) for lab in labels
                 )
-                eeg = MultichannelRecording(
-                    channels=chans, subject_id=subject, trial_id=f"t{t:03d}",
-                )
+                eeg = MultichannelRecording(channels=chans)
                 design = dec_mod.build_design(eeg, window)
                 signal = design @ g_true
                 noise_sd = float(np.std(signal)) / np.sqrt(snr)
@@ -445,11 +509,8 @@ class TestPipelineVariants:
                 )
                 base = data / subject / f"t{t:03d}"
                 sig_mod.write_recording(eeg, Path(str(base) + "_eeg.csv"))
-                for cond, suffix in (("attended", "att"), ("distractor", "dst")):
-                    rec = MultichannelRecording(
-                        channels=(TimeSeries("envelope", 64.0, stim),),
-                        subject_id=subject, trial_id=f"t{t:03d}", condition=cond,
-                    )
+                for suffix in ("att", "dst"):
+                    rec = MultichannelRecording(channels=(TimeSeries("envelope", 64.0, stim),))
                     sig_mod.write_recording(rec, Path(str(base) + f"_{suffix}.csv"))
         (data / "manifest.json").write_text(json.dumps({
             "schema_version": 1, "config_hash": "planted", "seed": 0,

@@ -54,6 +54,11 @@ class TestTimeSeries:
         assert ts([1.0, 2.0]) == ts([1.0, 2.0])
         assert ts([1.0, 2.0]) != ts([1.0, 3.0])
 
+    @pytest.mark.parametrize("values", [np.zeros((4, 2)), 1.0], ids=["2-D", "0-D"])
+    def test_rejects_samples_that_are_not_1d(self, values):
+        with pytest.raises(ShapeMismatch, match="1-D"):
+            ts(values)
+
 
 class TestRecording:
     def test_unique_labels_required(self):
@@ -63,10 +68,6 @@ class TestRecording:
     def test_equal_lengths_required(self):
         with pytest.raises(ShapeMismatch):
             MultichannelRecording(channels=(ts([1, 2], label="a"), ts([3, 4, 5], label="b")))
-
-    def test_condition_validated(self):
-        with pytest.raises(ShapeMismatch):
-            MultichannelRecording(channels=(ts([1, 2]),), condition="nope")
 
     def test_to_array_order(self):
         r = MultichannelRecording(channels=(ts([1, 2], label="a"), ts([3, 4], label="b")))
@@ -224,13 +225,12 @@ class TestSelectChannels:
         rng = np.random.default_rng(7)
         labels = list(LEFT_TEMPORAL_LABELS) + [f"E{i:02d}" for i in range(n_channels - 6)]
         chans = tuple(ts(rng.standard_normal(n), label=lab) for lab in labels)
-        return MultichannelRecording(channels=chans, subject_id="s", trial_id="t")
+        return MultichannelRecording(channels=chans)
 
     def test_left_temporal_subset(self):
         r = self._recording()
         out = select_channels(r, LEFT_TEMPORAL_LABELS)
         assert out.labels == LEFT_TEMPORAL_LABELS
-        assert out.subject_id == "s" and out.trial_id == "t"
 
     def test_identity(self):
         r = self._recording(n_channels=8)
@@ -255,9 +255,6 @@ class TestRecordingFiles:
         rng = np.random.default_rng(3)
         r = MultichannelRecording(
             channels=(ts(rng.standard_normal(50), label="a"), ts(rng.standard_normal(50), label="b")),
-            subject_id="s01",
-            trial_id="t001",
-            condition="attended",
         )
         path = tmp_path / "rec.csv"
         write_recording(r, path)
@@ -348,5 +345,5 @@ class TestRecordingFiles:
         path = tmp_path / "rec.csv"
         path.write_text("t,a\n0.0,1.0\n")
         path.with_suffix(".json").write_text('{"subject_id": "s", "trial_id": "t"}')
-        with pytest.raises(DataError, match="condition"):
+        with pytest.raises(DataError, match="rate_hz"):
             read_recording(path)
