@@ -95,20 +95,20 @@ class RunConfig:
     channel_subset: tuple = LEFT_TEMPORAL_LABELS
     lag_window_ms: tuple = (0.0, 250.0)
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    embed_source_history: int = 16
-    embed_target_history: int = 16
-    embed_delay: int = 1
+    embed_source_history: int = EmbedSpec.source_history
+    embed_target_history: int = EmbedSpec.target_history
+    embed_delay: int = EmbedSpec.delay
     kde_level: float = 0.01
     bin_width_bits: float = 0.005
     bin_stride_bits: float = 0.0025
     fit_on: str = "raw"
-    n_subjects: int = 3
-    n_trials: int = 10
-    n_samples: int = 3200
-    n_channels: int = 6
-    attended_coupling: float = 0.12
-    distractor_coupling: float = 0.03
-    observation_noise: float = 1.0
+    n_subjects: int = synth.AadScenario.n_subjects
+    n_trials: int = synth.AadScenario.n_trials
+    n_samples: int = synth.AadScenario.n_samples
+    n_channels: int = synth.AadScenario.n_channels
+    attended_coupling: float = synth.AadScenario.attended_coupling
+    distractor_coupling: float = synth.AadScenario.distractor_coupling
+    observation_noise: float = synth.AadScenario.observation_noise
 
     def __post_init__(self):
         for f in fields(self):
@@ -169,8 +169,6 @@ class RunConfig:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed config file, applying defaults."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
     version = _coerce("config_version", CONFIG_VERSION, doc.pop("config_version", CONFIG_VERSION))
     if version != CONFIG_VERSION:
@@ -194,19 +192,11 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     """Load a JSON config file; ``seed_override`` replaces its seed."""
-    if path is None:
-        doc = {}
-    else:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        doc = {} if path is None else signals.read_json(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     if seed_override is not None:
-        doc = dict(doc)
         doc["seed"] = seed_override
     return config_from_dict(doc)
 
@@ -436,14 +426,6 @@ def _write_with_meta(path: Path, meta: dict, lines) -> None:
             fh.write(line + "\n")
 
 
-def _read_meta_line(path: Path) -> dict:
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith("# meta "):
-        raise DataError(f"{path}: missing metadata header line")
-    return json.loads(first[len("# meta "):])
-
-
 def cmd_simulate(config: RunConfig, data_dir) -> list:
     """Generate the synthetic dataset, write it as CSV/JSON per trial, and
     return the trials written."""
@@ -479,22 +461,19 @@ def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
 
 def _load_manifest(data_dir: Path) -> dict:
     path = data_dir / "manifest.json"
-    if not path.exists():
-        raise DataError(f"dataset manifest not found: {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = signals.read_json(path)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version")
-    for key in ("subjects", "trials_per_subject"):
-        if key not in manifest:
-            raise DataError(f"{path}: missing key {key!r}")
-    subjects = manifest["subjects"]
+    subjects = manifest.get("subjects")
     if not (
         isinstance(subjects, list)
         and all(isinstance(s, str) for s in subjects)
         and len(set(subjects)) == len(subjects)
     ):
         raise DataError(f"{path}: subjects must be a list of distinct strings, got {subjects!r}")
+    count = manifest.get("trials_per_subject")
+    if type(count) is not int:
+        raise DataError(f"{path}: trials_per_subject must be an integer, got {count!r}")
     return manifest
 
 
@@ -589,22 +568,26 @@ def read_rd_points(path) -> tuple[dict, list]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"rate-distortion points not found: {path}")
-    meta = _read_meta_line(path)
+    lines = path.read_text().split("\n")
+    if not lines[0].startswith("# meta "):
+        raise DataError(f"{path}: missing metadata header line")
     points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
+    for lineno, line in enumerate(lines, start=1):
+        if lineno > 1 and (line.startswith("#") or not line.strip()):
+            continue
+        try:
+            doc = json.loads(line.removeprefix("# meta "))
+            if not isinstance(doc, dict):
+                raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+            if lineno == 1:
+                meta = doc
                 continue
-            try:
-                doc = json.loads(line)
-                points.append(analysis.RateDistortionPoint(**{
-                    f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
-                    for f in fields(analysis.RateDistortionPoint)
-                }))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(
-                    f"{path}, line {lineno}: malformed point ({type(exc).__name__}: {exc})"
-                ) from None
+            points.append(analysis.RateDistortionPoint(**{
+                f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
+                for f in fields(analysis.RateDistortionPoint)
+            }))
+        except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
+            raise DataError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
     return meta, points
 
 
@@ -705,7 +688,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (RedflowError, OSError, json.JSONDecodeError) as exc:
+    except (RedflowError, OSError) as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

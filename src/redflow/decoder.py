@@ -11,9 +11,7 @@ zero-mean (normalize first).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -22,11 +20,12 @@ from .errors import (
     ChannelOrderMismatch,
     DataError,
     InsufficientTrials,
+    RedflowError,
     ShapeMismatch,
     SingularSystem,
     ZeroVarianceSignal,
 )
-from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view, write_json
+from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view, read_json, write_json
 
 DECODER_FORMAT_VERSION = 1
 
@@ -314,11 +313,7 @@ def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:
 
 def load_decoder(path) -> Decoder:
     """Read a decoder written by :func:`save_decoder`."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"decoder file not found: {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != DECODER_FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported decoder format version {doc.get('format_version')!r}"
@@ -331,5 +326,5 @@ def load_decoder(path) -> Decoder:
             channel_labels=tuple(doc["channel_labels"]),
             train_rate_hz=float(doc["rate_hz"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
         raise DataError(f"{path}: malformed decoder ({type(exc).__name__}: {exc})") from None

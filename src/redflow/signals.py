@@ -22,6 +22,7 @@ from scipy.signal import butter, hilbert, sosfilt
 from .errors import (
     DataError,
     InvalidRate,
+    RedflowError,
     ShapeMismatch,
     UnknownChannel,
     WindowTooLarge,
@@ -272,6 +273,22 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
+def read_json(path) -> dict:
+    """Read a JSON file whose top level is an object, as :func:`write_json`
+    writes it: the reader of every JSON input file. A file that cannot be
+    read, does not parse or holds another top level is a DataError naming it."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None = None) -> None:
     """Write one recording as CSV plus a JSON metadata sidecar.
 
@@ -301,22 +318,20 @@ def read_recording(csv_path) -> MultichannelRecording:
     ------
     DataError
         If the CSV or its JSON sidecar is missing or malformed, including a
-        header without samples, ragged rows and non-numeric values.
+        header without samples, ragged rows, non-numeric or non-finite values
+        and repeated labels.
     """
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".json")
     if not csv_path.exists():
         raise DataError(f"recording file not found: {csv_path}")
-    if not meta_path.exists():
-        raise DataError(f"metadata sidecar not found: {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if "rate_hz" not in meta:
-        raise DataError(f"{meta_path}: missing metadata key 'rate_hz'")
+    meta = read_json(meta_path)
     try:
         rate = float(meta["rate_hz"])
-    except (TypeError, ValueError):
-        raise DataError(f"{meta_path}: rate_hz must be a number, got {meta['rate_hz']!r}") from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        rate = float("nan")
+    if not rate > 0:
+        raise DataError(f"{meta_path}: rate_hz must be a number > 0, got {meta.get('rate_hz')!r}")
     with open(csv_path, newline="") as fh:
         header = next(
             (row for row in csv.reader(fh) if row and not row[0].startswith("#")), None
@@ -341,7 +356,9 @@ def read_recording(csv_path) -> MultichannelRecording:
         raise DataError(
             f"{csv_path}: ragged rows ({values.shape[1]} columns, header has {len(header)})"
         )
-    channels = tuple(
-        TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels, start=1)
-    )
-    return MultichannelRecording(channels=channels)
+    try:
+        return MultichannelRecording(channels=tuple(
+            TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels, start=1)
+        ))
+    except RedflowError as exc:
+        raise DataError(f"{csv_path}: {exc}") from exc

@@ -10,6 +10,8 @@ import pytest
 from redflow import cli
 from redflow.cli import RunConfig, config_from_dict, load_config, main
 from redflow.errors import ConfigError, DataError
+from redflow.infotheory import EmbedSpec
+from redflow.synth import AadScenario
 
 
 TINY = {
@@ -61,6 +63,50 @@ def output_metas(out):
     return metas
 
 
+def set_keys(text, **changes):
+    """JSON object text with keys set to new values (``None`` deletes the key)."""
+    doc = json.loads(text)
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+SIDECAR = "data/s01/t002_eeg.json"
+DECODER = "out/decoders/s01_attended.json"
+POINTS = "out/rd_points.ndjson"
+
+#: case -> (command that reads the file, file under the run directory, line
+#: to edit or None for the whole file, edit of that text)
+MALFORMED_INPUTS = {
+    "decoder-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": None})),
+    "point-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=None)),
+    "sidecar-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz="fast")),
+    "manifest-not-object": ("train", "data/manifest.json", None, lambda t: "[1]"),
+    "manifest-invalid": ("train", "data/manifest.json", None, lambda t: "{bad"),
+    "sidecar-not-object": ("train", SIDECAR, None, lambda t: "5"),
+    "sidecar-invalid": ("train", SIDECAR, None, lambda t: "{bad"),
+    "sidecar-zero-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=0)),
+    "csv-nan-row": ("train", "data/s01/t002_eeg.csv", 3,
+                    lambda row: row.split(",", 1)[0] + ",nan" * row.count(",")),
+    "csv-repeated-label": ("train", "data/s01/t002_eeg.csv", 1,
+                           lambda header: re.sub(r"^t,([^,]+),[^,]+", r"t,\1,\1", header)),
+    "decoder-not-object": ("rates", DECODER, None, lambda t: "[1, 2]"),
+    "decoder-invalid": ("rates", DECODER, None, lambda t: "{bad"),
+    "decoder-label-string": ("rates", DECODER, None, lambda t: set_keys(t, channel_labels="T7")),
+    "meta-not-object": ("report", POINTS, 1, lambda t: "# meta [1]"),
+    "meta-invalid": ("report", POINTS, 1, lambda t: "# meta {bad"),
+    "point-distortion": ("report", POINTS, 2, lambda t: set_keys(t, distortion=2.0)),
+    "point-rate-kind": ("report", POINTS, 2, lambda t: set_keys(t, rate_kind="bogus")),
+    # an integer too large for a float
+    "sidecar-huge-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=10**400)),
+    "decoder-huge-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": 10**400})),
+    "point-huge-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=10**400)),
+}
+
+
 def field_kwargs(doc):
     """RunConfig keyword arguments for a config-file dict (``embed.<k>`` is
     ``embed_<k>``, ``scenario.<k>`` is ``<k>``)."""
@@ -76,6 +122,8 @@ class TestConfig:
         assert cfg.lag_window().tau_max == 16
         assert cfg.channel_subset == ("FT7", "T7", "TP7", "CP5", "FC5", "C5")
         assert len(cfg.lambda_grid) == 13
+        assert cfg.embed() == EmbedSpec()
+        assert cfg.scenario() == AadScenario()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -384,29 +432,26 @@ class TestPipelineVariants:
         err = capsys.readouterr().err
         assert "subject s01, trial t001" in err and "stimulus length" in err
 
-    @pytest.mark.parametrize("case", ["decoder-lambda", "point-rate", "sidecar-rate"])
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
     def test_malformed_input_file_is_data_error(self, tmp_path, capsys, case):
         cfg_path = write_config(tmp_path)
         data, out = tmp_path / "data", tmp_path / "out"
         args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
         assert main(["all", *args]) == 0
-        if case == "decoder-lambda":
-            command, path = "rates", out / "decoders" / "s01_attended.json"
-            doc = json.loads(path.read_text())
-            del doc["lambda"]
-            path.write_text(json.dumps(doc))
-        elif case == "point-rate":
-            command, path = "report", out / "rd_points.ndjson"
-            lines = path.read_text().splitlines()
-            point = json.loads(lines[1])
-            del point["rate"]
-            path.write_text("\n".join([lines[0], json.dumps(point), *lines[2:]]) + "\n")
+        command, name, lineno, edit = MALFORMED_INPUTS[case]
+        path = tmp_path / name
+        if lineno is None:
+            path.write_text(edit(path.read_text()))
         else:
-            command, path = "train", data / "s01" / "t002_eeg.json"
-            path.write_text(json.dumps({**json.loads(path.read_text()), "rate_hz": "fast"}))
+            lines = path.read_text().split("\n")
+            lines[lineno - 1] = edit(lines[lineno - 1])
+            path.write_text("\n".join(lines))
         capsys.readouterr()
         assert main([command, *args]) == 3
-        assert path.name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path.name in err
+        if name == POINTS:
+            assert f"line {lineno}:" in err
 
     def test_manifest_without_trial_count_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -416,6 +461,16 @@ class TestPipelineVariants:
         del manifest["trials_per_subject"]
         (data / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="trials_per_subject"):
+            cli.load_trials(data)
+
+    def test_manifest_with_text_trial_count_is_data_error(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["trials_per_subject"] = str(manifest["trials_per_subject"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="trials_per_subject must be an integer"):
             cli.load_trials(data)
 
     def test_manifest_with_repeated_subject_is_data_error(self, tmp_path):
@@ -428,10 +483,16 @@ class TestPipelineVariants:
         with pytest.raises(DataError, match="distinct strings"):
             cli.load_trials(data)
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"lambda_grid": []}))
         assert main(["simulate", "--config", str(path), "--data", str(tmp_path / "d")]) == 2
+        (tmp_path / "broken.json").write_text("{bad")
+        for name in ("missing.json", "broken.json"):
+            capsys.readouterr()
+            path = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--data", str(tmp_path / "d")]) == 2
+            assert name in capsys.readouterr().err
 
     def test_unknown_channel_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
