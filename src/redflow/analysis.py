@@ -49,6 +49,8 @@ class RateDistortionPoint:
     rate_kind: str
 
     def __post_init__(self):
+        if not 0.0 <= self.rate < math.inf:
+            raise OutOfRange(f"rate must be finite and >= 0, got {self.rate}")
         if not 0.0 <= self.distortion <= 1.0:
             raise OutOfRange(f"distortion must be in [0, 1], got {self.distortion}")
         if self.rate_kind not in RATE_KINDS:

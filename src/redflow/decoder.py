@@ -123,7 +123,9 @@ def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
     """Apply a decoder to a recording.
 
     Returns the raw (unnormalized) reconstruction on the valid index set of
-    the lag window; normalize before correlating or estimating rates.
+    the lag window; normalize before correlating or estimating rates. It
+    equals ``build_design(r, d.lag_window) @ d.flat_weights`` up to the
+    order of the sums, without building the design.
 
     Raises
     ------
@@ -138,8 +140,14 @@ def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
         )
     if r.rate_hz != d.train_rate_hz:
         raise ShapeMismatch(f"recording rate {r.rate_hz} != decoder rate {d.train_rate_hz}")
-    design = build_design(r, d.lag_window)
-    return TimeSeries("reconstruction", r.rate_hz, design @ d.flat_weights)
+    # the design's product summed one lag at a time: lag tau_min + k reads
+    # the recording from row start + k
+    sl = lag_valid_slice(r.n_samples, d.lag_window)
+    x, start, rows = r.to_array(), sl.start + d.lag_window.tau_min, sl.stop - sl.start
+    out = np.zeros(rows)
+    for k, weights in enumerate(d.weights):
+        out += x[start + k : start + k + rows] @ weights
+    return TimeSeries("reconstruction", r.rate_hz, out)
 
 
 def pearson(a: TimeSeries, b: TimeSeries) -> float:

@@ -206,10 +206,11 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     ``signals[j]`` for ``pairs[p] == (i, j)``, on the valid rows of
     :func:`te_blocks`. Each series' lag window is centred once and each Gram
     block (a window with itself, or a source window with a target window)
-    is formed once. Each pair's blocks are copied into one block Gram, and
-    its covariance is gathered from that with one fixed index, so its value
-    does not depend on the other series passed. The rank check and
-    the Cholesky factorisations run batched over the pairs. Raises as
+    is formed once. The pairs' blocks are stacked into one batch of block
+    Grams, and each covariance is gathered from its block Gram with one
+    fixed index, so its value does not depend on the other series passed.
+    The rank check and the Cholesky factorisations run batched over the
+    pairs. Raises as
     :func:`transfer_entropy` does; a ``DegenerateCovariance`` names the first
     degenerate pair as ``source->target`` using ``names`` (default: labels).
     """
@@ -238,9 +239,10 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
         np.subtract(window, window.mean(axis=1, keepdims=True), out=windows[i])
     needed = {ab for i, j in pairs for ab in ((i, i), (i, j), (j, j))}
     grams = {(a, b): windows[a] @ windows[b].T for a, b in needed}
-    block_grams = np.stack(
-        [np.block([[grams[j, j], grams[i, j].T], [grams[i, j], grams[i, i]]]) for i, j in pairs]
-    )
+    g_jj = np.stack([grams[j, j] for i, j in pairs])
+    g_ij = np.stack([grams[i, j] for i, j in pairs])
+    g_ii = np.stack([grams[i, i] for i, j in pairs])
+    block_grams = np.block([[g_jj, g_ij.transpose(0, 2, 1)], [g_ij, g_ii]])
     covs = block_grams[:, gather[0], gather[1]] / rows
 
     labels = [f"TE {names[i]}->{names[j]}" for i, j in pairs]

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, hilbert, sosfilt
 
 from .errors import (
     DataError,
@@ -216,6 +215,10 @@ def extract_envelope(
         )
     factor = int(round(factor))
 
+    # imported here: scipy.signal (and the scipy.stats it loads) adds most of
+    # a second and about 40 MB to start-up, and no pipeline stage calls this
+    from scipy.signal import butter, hilbert, sosfilt
+
     env = np.abs(hilbert(audio.samples))
     sos = butter(4, target_rate_hz / 2.0, btype="low", fs=audio.rate_hz, output="sos")
     env = sosfilt(sos, env)
@@ -330,8 +333,10 @@ def read_recording(csv_path) -> MultichannelRecording:
         rate = float(meta["rate_hz"])
     except (KeyError, TypeError, ValueError, OverflowError):
         rate = float("nan")
-    if not rate > 0:
-        raise DataError(f"{meta_path}: rate_hz must be a number > 0, got {meta.get('rate_hz')!r}")
+    if not 0 < rate < np.inf:
+        raise DataError(
+            f"{meta_path}: rate_hz must be a finite number > 0, got {meta.get('rate_hz')!r}"
+        )
     with open(csv_path, newline="") as fh:
         header = next(
             (row for row in csv.reader(fh) if row and not row[0].startswith("#")), None

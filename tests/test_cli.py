@@ -104,6 +104,9 @@ MALFORMED_INPUTS = {
     "sidecar-huge-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=10**400)),
     "decoder-huge-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": 10**400})),
     "point-huge-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=10**400)),
+    # Python's json writes and reads NaN and Infinity
+    "point-nan-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=float("nan"))),
+    "sidecar-infinite-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=float("inf"))),
 }
 
 

@@ -169,6 +169,19 @@ class TestReconstruct:
         resid_lstsq = target - design @ flat
         np.testing.assert_allclose(resid_ours, resid_lstsq, atol=1e-8)
 
+    @pytest.mark.parametrize("window", [LagWindow(-5, 3), LagWindow(0, 7), LagWindow(2, 9)], ids=str)
+    def test_equals_design_product(self, window):
+        rng = np.random.default_rng(12)
+        rec = recording(list(rng.standard_normal((4, 400))))
+        d = Decoder(
+            weights=rng.standard_normal((window.n_lags, 4)), lag_window=window, lam=1.0,
+            channel_labels=rec.labels, train_rate_hz=64.0,
+        )
+        expected = decoder.build_design(rec, window) @ d.flat_weights
+        # the sums run in another order, so equal up to rounding
+        error = np.max(np.abs(reconstruct(d, rec).samples - expected))
+        assert error <= 1e-12 * np.max(np.abs(expected))
+
     def test_zero_weights_degenerate_on_normalize(self):
         d = Decoder(
             weights=[[0.0]], lag_window=LagWindow(0, 0), lam=0.0,

@@ -1,6 +1,10 @@
 """VAR simulation, Lyapunov oracles, and the listening-experiment scenario."""
 
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,40 @@ class TestScenarioRecursions:
             ref[t] = drive[t] + (0.45 * ref[t - 1] if t else 0.0)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
+    def test_filters_equal_lfilter_bit_for_bit(self):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            # two real poles or a complex pair, all inside radius 0.98
+            if rng.random() < 0.5:
+                p, q = rng.uniform(-0.98, 0.98, 2)
+                a1, a2 = p + q, -p * q
+            else:
+                radius, angle = rng.uniform(0.1, 0.98), rng.uniform(0.0, np.pi)
+                a1, a2 = 2 * radius * np.cos(angle), -radius**2
+            series = rng.standard_normal((int(rng.integers(1, 400)), int(rng.integers(1, 6))))
+            for x in (series[:, 0], series):
+                ref = lfilter([1.0], [1.0, -a1, -a2], x, axis=0)
+                assert np.array_equal(synth._ar2_filter(x, a1, a2), ref)
+            rho = rng.uniform(-0.98, 0.98, series.shape[1])
+            ref = np.column_stack([lfilter([1.0], [1.0, -r], col) for r, col in zip(rho, series.T)])
+            assert np.array_equal(synth._ar1_filter(series, rho), ref)
+            ref = lfilter([1.0], [1.0, -rho[0]], series[:, 0])
+            assert np.array_equal(synth._ar1_filter(series[:, 0], rho[0]), ref)
+
+    def test_filters_leave_their_input_alone_and_filter_in_place_on_request(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((50, 2, 3))
+        kept = x.copy()
+        y = synth._ar2_filter(x, 1.1, -0.3)
+        assert np.array_equal(x, kept)
+        assert synth._ar2_filter(x, 1.1, -0.3, out=x) is x
+        assert np.array_equal(x, y)
+        z = synth._ar1_filter(x, [0.2, 0.3, 0.4])
+        synth._ar1_filter(x, [0.2, 0.3, 0.4], out=x)
+        assert np.array_equal(x, z)
+
     def test_envelope_innovation_scale_gives_unit_variance(self):
         a1, a2 = synth._ENV_A1, synth._ENV_A2
         scale = synth._ar2_unit_variance_scale(a1, a2)
@@ -202,6 +240,39 @@ class TestAadScenario:
             assert ta.eeg == tb.eeg
             assert ta.attended == tb.attended
             assert ta.distractor == tb.distractor
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            (AadScenario(n_samples=400, n_trials=3, n_subjects=2, seed=9),
+             "e28d77934cb3caca660457cabf9b90d5311ab850f8f44a6a9b9a088673f956f6"),
+            (AadScenario(n_samples=700, n_trials=4, n_subjects=2, n_channels=3, seed=5),
+             "eb9a9fd6bf88338e22b36a8687d6d7ac28c57c826674e832f37e5613f8a7823e"),
+            # 75 trials: a subject's trials fall in two filter batches
+            (AadScenario(n_samples=150, n_trials=25, n_subjects=3, n_channels=3, seed=4),
+             "270719c6ed34bab9a750a5a78bbc5a7806001ae63dcc6139ef540ceb77b59d21"),
+        ],
+    )
+    def test_samples_match_recorded_digest(self, scenario, digest):
+        # digests of the samples as generated with scipy.signal.lfilter
+        h = hashlib.sha256()
+        for t in make_aad_scenario(scenario):
+            h.update(f"{t.subject_id}/{t.trial_id}".encode())
+            for series in (t.attended, t.distractor, *t.eeg.channels):
+                h.update(series.label.encode())
+                h.update(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_import_leaves_scipy_signal_and_stats_unloaded(self):
+        src = Path(synth.__file__).resolve().parents[1]
+        code = (
+            "import sys; import redflow, redflow.cli, redflow.synth; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_shapes_and_labels(self):
         sc = AadScenario(n_samples=300, n_trials=3, n_subjects=2, n_channels=6, seed=1)
