@@ -14,12 +14,13 @@ The computations are pure functions of in-memory trials
 stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
 the whole chain in memory for a simulated scenario.
 
-Every output embeds the hash of the canonical run configuration; ``report``
-refuses inputs whose hash differs from its own configuration. The outputs of
-``train``, ``rates`` and ``report`` also carry ``data_config_hash``, the hash
-the dataset was made with (null for a manifest without one). Outputs are
-deterministic for a given config and seed except for one ``generated_at``
-timestamp inside each file's metadata line.
+Every output embeds the hash of the canonical run configuration; ``rates``
+refuses decoders and ``report`` refuses points whose hash differs from its
+own configuration. The outputs of ``train``, ``rates`` and ``report`` also
+carry ``data_config_hash``, the hash the dataset was made with (null for a
+manifest without one). Outputs are deterministic for a given config and
+seed except for one ``generated_at`` timestamp inside each file's metadata
+line.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -538,6 +539,17 @@ def _write_decoders(config: RunConfig, out_dir: Path, fitted: dict, data_hash) -
         )
 
 
+def _require_config_hash(config: RunConfig, path, meta) -> None:
+    """Refuse an input file whose metadata does not carry the current
+    config's hash (a file made under another configuration)."""
+    found = meta.get("config_hash") if isinstance(meta, dict) else None
+    if found != config.config_hash():
+        raise DataError(
+            f"{path}: config hash mismatch: the file carries {found!r}, "
+            f"current config is {config.config_hash()!r}"
+        )
+
+
 def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
     """Reconstruct, correlate, and compute the rate bundle per trial."""
     out_dir = Path(out_dir)
@@ -546,6 +558,7 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "dis
     for subject in sorted({t.subject_id for t in trials}):
         for condition in conditions:
             path = _decoder_path(out_dir, subject, condition)
+            _require_config_hash(config, path, signals.read_json(path).get("meta"))
             decoders[(subject, condition)] = (decoder.load_decoder(path), None)
     records, points = compute_rates(config, trials, decoders, conditions)
     _write_rates(config, out_dir, records, points, data_hash)
@@ -599,12 +612,9 @@ def cmd_report(
 ) -> None:
     """Write pdf.csv, rd_curve.csv, and fits.json from the rate-distortion points."""
     out_dir = Path(out_dir)
-    in_meta, points = read_rd_points(out_dir / "rd_points.ndjson")
-    if in_meta.get("config_hash") != config.config_hash():
-        raise DataError(
-            f"config hash mismatch: rd_points carries {in_meta.get('config_hash')!r}, "
-            f"current config is {config.config_hash()!r}"
-        )
+    path = out_dir / "rd_points.ndjson"
+    in_meta, points = read_rd_points(path)
+    _require_config_hash(config, path, in_meta)
     report = build_report(config, points, conditions, rate_kinds)
     _write_report(config, out_dir, *report, in_meta.get("data_config_hash"))
 

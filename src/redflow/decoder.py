@@ -20,6 +20,7 @@ from .errors import (
     ChannelOrderMismatch,
     DataError,
     InsufficientTrials,
+    InvalidRate,
     RedflowError,
     ShapeMismatch,
     SingularSystem,
@@ -56,6 +57,10 @@ class Decoder:
             )
         if not np.all(np.isfinite(w)):
             raise ShapeMismatch("weights must be finite")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ShapeMismatch(f"lambda must be a finite number >= 0, got {self.lam!r}")
+        if not (np.isfinite(self.train_rate_hz) and self.train_rate_hz > 0.0):
+            raise InvalidRate(f"rate_hz must be a finite number > 0, got {self.train_rate_hz!r}")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -327,9 +332,12 @@ def load_decoder(path) -> Decoder:
             f"{path}: unsupported decoder format version {doc.get('format_version')!r}"
         )
     try:
+        taus = doc["tau_min"], doc["tau_max"]
+        if any(type(t) is not int for t in taus):
+            raise TypeError(f"tau_min and tau_max must be integers, got {list(taus)}")
         return Decoder(
             weights=np.array(doc["weights"], dtype=np.float64),
-            lag_window=LagWindow(int(doc["tau_min"]), int(doc["tau_max"])),
+            lag_window=LagWindow(*taus),
             lam=float(doc["lambda"]),
             channel_labels=tuple(doc["channel_labels"]),
             train_rate_hz=float(doc["rate_hz"]),

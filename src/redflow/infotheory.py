@@ -7,6 +7,12 @@ Gaussian processes and first-order approximations otherwise. Estimates are
 invariant to per-variable invertible affine maps and clamped at zero (the
 population quantity is nonnegative; the clamp only absorbs rounding).
 
+Every estimate goes through one solve, :func:`_cmi_bits`: it checks a stack
+of [C, X, Y] covariances for finiteness, then rank, and reads each CMI from
+one Cholesky factor. :func:`gaussian_cmi` passes it the maximum-likelihood
+covariance of row-sample blocks, :func:`transfer_entropies` a batch gathered
+from lag-window Grams.
+
 Only pairwise (per-channel) conditioning is exposed: a target that is a
 deterministic function of several sources jointly is handled by estimating
 one source at a time, which keeps every covariance nondegenerate.
@@ -19,12 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCovariance,
-    SeriesTooShort,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from .errors import DegenerateCovariance, SeriesTooShort, ShapeMismatch, TooFewSamples
 from .signals import TimeSeries, lag_view
 
 LN2 = math.log(2.0)
@@ -60,35 +61,21 @@ class EmbedSpec:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class CovEstimate:
-    """Empirical covariance that passed the rank check."""
+def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
+    """I(X; Y | C) in bits, clamped at zero, for each covariance of a
+    (k, dim, dim) stack in [C, X, Y] column order: the one covariance solve.
 
-    matrix: np.ndarray
-    n_samples: int
-
-
-def estimate_covariance(data: np.ndarray) -> CovEstimate:
-    """Maximum-likelihood covariance (divide by n) of row-sample data,
-    symmetrized.
-
-    Raises
-    ------
-    DegenerateCovariance
-        If the covariance is numerically rank-deficient (a deterministic
-        linear dependence among columns).
+    A DegenerateCovariance names the first matrix that is not finite, or else
+    the first with lambda_min < _RANK_RTOL * lambda_max; past these checks
+    both Cholesky factorisations succeed. The last dy rows of the Cholesky
+    factor L hold both residual covariances: Cov(Y | C, X) = L_YY L_YY' and
+    Cov(Y | C) = L_YX L_YX' + L_YY L_YY', so
+    I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one more dy x dy
+    factorisation and no difference of large log-determinants.
     """
-    n = data.shape[0]
-    centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / n
-    cov = 0.5 * (cov + cov.T)
-    _check_rank(cov[None], ("the data",))
-    return CovEstimate(matrix=cov, n_samples=n)
-
-
-def _check_rank(covs: np.ndarray, names) -> None:
-    """Reject a (k, d, d) stack if a matrix has lambda_min < _RANK_RTOL * lambda_max,
-    naming the first; past this check, its Cholesky factorisation succeeds."""
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise DegenerateCovariance(f"covariance of {names[int(np.argmin(finite))]} is not finite")
     eigs = np.linalg.eigvalsh(covs)
     bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
     if bad.any():
@@ -96,28 +83,11 @@ def _check_rank(covs: np.ndarray, names) -> None:
             f"covariance of {names[int(np.argmax(bad))]} is numerically rank-deficient; "
             "the Gaussian information quantity diverges (deterministic dependence?)"
         )
-
-
-def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
-    """I(X; Y | C) in bits, clamped at zero, for each rank-checked covariance
-    of a (k, dim, dim) stack in [C, X, Y] column order.
-
-    The last dy rows of the Cholesky factor L hold both residual covariances:
-    Cov(Y | C, X) = L_YY L_YY' and Cov(Y | C) = L_YX L_YX' + L_YY L_YY', so
-    I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one more dy x dy
-    factorisation and no difference of large log-determinants.
-    """
-    try:
-        rows = np.linalg.cholesky(covs)[:, -dy:]
-        l_yx, l_yy = rows[:, :, -dx - dy : -dy], rows[:, :, -dy:]
-        l_y_c = np.linalg.cholesky(l_yx @ l_yx.transpose(0, 2, 1) + l_yy @ l_yy.transpose(0, 2, 1))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovariance(f"a covariance of {', '.join(names)} is singular") from exc
+    rows = np.linalg.cholesky(covs)[:, -dy:]
+    l_yx, l_yy = rows[:, :, -dx - dy : -dy], rows[:, :, -dy:]
+    l_y_c = np.linalg.cholesky(l_yx @ l_yx.transpose(0, 2, 1) + l_yy @ l_yy.transpose(0, 2, 1))
     ratios = np.diagonal(l_y_c, axis1=1, axis2=2) / np.diagonal(l_yy, axis1=1, axis2=2)
     values = np.log(ratios).sum(axis=1) / LN2
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise DegenerateCovariance(f"non-finite determinant ratio for {names[int(np.argmin(finite))]}")
     return np.where(values > 0.0, values, 0.0)
 
 
@@ -151,7 +121,8 @@ def gaussian_cmi(
     Raises
     ------
     DegenerateCovariance
-        If the joint covariance is numerically rank-deficient.
+        If the joint maximum-likelihood covariance (divide by n) is not
+        finite or numerically rank-deficient.
     TooFewSamples
         If fewer than ``dim + 2`` rows are supplied.
     """
@@ -170,7 +141,9 @@ def gaussian_cmi(
     joint = np.concatenate(blocks, axis=1)
     if not np.all(np.isfinite(joint)):
         raise ShapeMismatch("blocks must be finite")
-    cov = estimate_covariance(joint).matrix
+    centered = joint - joint.mean(axis=0)
+    cov = centered.T @ centered / n
+    cov = 0.5 * (cov + cov.T)
     return float(_cmi_bits(cov[None], dx, dy, ("the data",))[0])
 
 
@@ -209,10 +182,10 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     is formed once. The pairs' blocks are stacked into one batch of block
     Grams, and each covariance is gathered from its block Gram with one
     fixed index, so its value does not depend on the other series passed.
-    The rank check and the Cholesky factorisations run batched over the
-    pairs. Raises as
-    :func:`transfer_entropy` does; a ``DegenerateCovariance`` names the first
-    degenerate pair as ``source->target`` using ``names`` (default: labels).
+    The checks and factorisations of :func:`_cmi_bits` run batched over the
+    pairs. Raises as :func:`transfer_entropy` does; a
+    ``DegenerateCovariance`` names the first degenerate pair as
+    ``source->target`` using ``names`` (default: labels).
     """
     names = [x.label for x in signals] if names is None else names
     n = len(signals[0])
@@ -244,13 +217,7 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     g_ii = np.stack([grams[i, i] for i, j in pairs])
     block_grams = np.block([[g_jj, g_ij.transpose(0, 2, 1)], [g_ij, g_ii]])
     covs = block_grams[:, gather[0], gather[1]] / rows
-
-    labels = [f"TE {names[i]}->{names[j]}" for i, j in pairs]
-    finite = np.isfinite(covs).all(axis=(1, 2))
-    if not finite.all():
-        raise DegenerateCovariance(f"covariance of {labels[int(np.argmin(finite))]} is not finite")
-    _check_rank(covs, labels)
-    return _cmi_bits(covs, sh, 1, labels)
+    return _cmi_bits(covs, sh, 1, [f"TE {names[i]}->{names[j]}" for i, j in pairs])
 
 
 def transfer_entropy(source: TimeSeries, target: TimeSeries, e: EmbedSpec) -> float:

@@ -241,16 +241,6 @@ def _ar2_unit_variance_scale(a1: float, a2: float) -> float:
 _FILTER_TILE = 128
 
 
-def _filter_buffer(x, out) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as float64 in ``out`` (a new array if None), and a view of
-    ``out`` with at least one axis after time."""
-    if out is None:
-        out = np.array(x, dtype=np.float64)
-    elif out is not x:
-        np.copyto(out, x)
-    return out, (out if out.ndim > 1 else out[:, None])
-
-
 def _recursion_steps(y: np.ndarray, order: int):
     """Yield ``(past, row)`` for each time t (axis 0) of ``y``, in order:
     ``past`` holds rows t-order .. t-1 (zero before the start) and ``row``
@@ -267,16 +257,18 @@ def _recursion_steps(y: np.ndarray, order: int):
         buf[:order] = buf[len(tile) : len(tile) + order]
 
 
-def _ar2_filter(noise, a1: float, a2: float, out=None) -> np.ndarray:
-    """y_t = a1 y_{t-1} + a2 y_{t-2} + noise_t from zero initial state, along axis 0.
+def _ar2_filter(noise: np.ndarray, a1: float, a2: float) -> np.ndarray:
+    """y_t = a1 y_{t-1} + a2 y_{t-2} + noise_t from zero initial state, along
+    axis 0 of the float64 array ``noise``, in place (any memory layout);
+    returns ``noise``.
 
     Every series along the trailing axes is filtered in the same pass. Each
     step rounds as ``x[t] + (a2*y[t-2] + a1*y[t-1])``, the transposed direct
     form of ``scipy.signal.lfilter([1], [1, -a1, -a2], noise, axis=0)``, so
-    the result equals lfilter's bit for bit. Filters into ``out`` (which may
-    be ``noise`` itself, in any memory layout) if given.
+    the result equals lfilter's bit for bit.
     """
-    out, y = _filter_buffer(noise, out)
+    # a 1-D series gets a trailing axis, so each step's rows are views
+    y = noise if noise.ndim > 1 else noise[:, None]
     taps = np.reshape([a2, a1], (2,) + (1,) * (y.ndim - 1))
     prod, acc = np.empty((2, *y.shape[1:])), np.empty(y.shape[1:])
     older, newer = prod
@@ -284,23 +276,23 @@ def _ar2_filter(noise, a1: float, a2: float, out=None) -> np.ndarray:
         np.multiply(past, taps, prod)
         np.add(older, newer, acc)
         np.add(row, acc, row)
-    return out
+    return noise
 
 
-def _ar1_filter(drive, rho, out=None) -> np.ndarray:
-    """y_t = rho y_{t-1} + drive_t from zero initial state, along axis 0.
+def _ar1_filter(drive: np.ndarray, rho) -> np.ndarray:
+    """y_t = rho y_{t-1} + drive_t from zero initial state, along axis 0 of
+    ``drive``, in place as :func:`_ar2_filter` filters; returns ``drive``.
 
     ``rho`` broadcasts over the trailing axes, one coefficient per series.
     Each step rounds as ``x[t] + rho*y[t-1]``, so the result equals
     ``scipy.signal.lfilter([1], [1, -rho], drive, axis=0)`` bit for bit.
-    Filters into ``out`` as :func:`_ar2_filter` does.
     """
-    out, y = _filter_buffer(drive, out)
+    y = drive if drive.ndim > 1 else drive[:, None]
     term = np.empty((1, *y.shape[1:]))
     for past, row in _recursion_steps(y, 1):
         np.multiply(past, rho, term)
         np.add(row, term, row)
-    return out
+    return drive
 
 
 def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
@@ -378,7 +370,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
                 env[i, k] = env_scale * trng.standard_normal(total)
             drive[i] = (sc.observation_noise * trng.standard_normal((total, sc.n_channels))).T
         time_first = np.moveaxis(env[: len(batch)], -1, 0)
-        _ar2_filter(time_first, _ENV_A1, _ENV_A2, out=time_first)
+        _ar2_filter(time_first, _ENV_A1, _ENV_A2)
 
         channel_coefs = []
         for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
@@ -396,7 +388,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
                     + common_gains[c] * common
                 )
         time_first = np.moveaxis(drive[: len(batch)], -1, 0)
-        _ar1_filter(time_first, np.stack(channel_coefs), out=time_first)
+        _ar1_filter(time_first, np.stack(channel_coefs))
 
         for i, (s, tr) in enumerate(batch):
             trials.append(

@@ -107,6 +107,12 @@ MALFORMED_INPUTS = {
     # Python's json writes and reads NaN and Infinity
     "point-nan-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=float("nan"))),
     "sidecar-infinite-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=float("inf"))),
+    "decoder-nan-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": float("nan")})),
+    "decoder-negative-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": -1.0})),
+    "decoder-fractional-tau": ("rates", DECODER, None, lambda t: set_keys(t, tau_min=0.9)),
+    "decoder-infinite-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=float("inf"))),
+    "decoder-zero-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=0.0)),
+    "decoder-without-hash": ("rates", DECODER, None, lambda t: set_keys(t, meta=None)),
 }
 
 
@@ -306,6 +312,18 @@ class TestPipeline:
         other = write_config(tmp_path, doc={**TINY, "seed": 123}, name="other.json")
         code = main(["report", "--config", str(other), "--data", str(data), "--out", str(out)])
         assert code == 3
+
+    def test_rates_refuses_decoders_of_other_config(self, run_dirs, tmp_path, capsys):
+        # decoders trained with lambda 1e-06 and 100 are not rated under a
+        # config whose lambda grid is [1e6]
+        root, cfg_path, data, out = run_dirs
+        other = write_config(tmp_path, doc={**TINY, "lambda_grid": [1e6]}, name="other.json")
+        before = (out / "rates.ndjson").read_text()
+        capsys.readouterr()
+        assert main(["rates", "--config", str(other), "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "s01_attended.json" in err and "config hash mismatch" in err
+        assert (out / "rates.ndjson").read_text() == before
 
     def test_all_matches_four_stages(self, run_dirs, tmp_path):
         _, cfg_path, data, out = run_dirs

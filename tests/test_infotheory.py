@@ -16,7 +16,6 @@ from redflow import synth
 from redflow.infotheory import (
     EmbedSpec,
     _cmi_bits,
-    estimate_covariance,
     gaussian_cmi,
     plug_in_bias,
     te_blocks,
@@ -61,6 +60,15 @@ class TestGaussianCmi:
         x = rng.standard_normal(N)
         with pytest.raises(DegenerateCovariance):
             gaussian_cmi(x, x.copy())
+
+    def test_overflowing_covariance_raises(self):
+        # finite blocks whose covariance overflows to inf
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((2, 500)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DegenerateCovariance, match="covariance of the data is not finite"
+        ):
+            gaussian_cmi(x, y)
 
     def test_matches_closed_form_for_known_covariance(self):
         # sample from a fixed 3-dim Gaussian; oracle = CMI of the true sigma
@@ -258,6 +266,15 @@ class TestTransferEntropiesKernel:
         with pytest.raises(DegenerateCovariance, match="S->C"):
             transfer_entropies((a, copy), [(0, 1)], e, names=("S", "C"))
 
+    def test_overflowing_pair_is_named(self):
+        rec = simulate(self.MODEL, 2_000, seed=25, rate_hz=64.0)
+        a, b, _ = rec.channels
+        huge = b.with_samples(b.samples * 1e200, label="huge")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DegenerateCovariance, match="TE a->huge is not finite"
+        ):
+            transfer_entropies((a, b, huge), [(0, 1), (0, 2)], EmbedSpec(2, 2, 1))
+
     def test_length_mismatch_and_short_series(self):
         rng = np.random.default_rng(24)
         e = EmbedSpec(2, 2, 1)
@@ -304,12 +321,6 @@ class TestClosedFormAccuracy:
         assert np.abs(values - np.array(exact)).max() <= 1e-13
 
 
-class TestCovEstimate:
-    def test_jitter_zero_for_healthy_data(self):
-        rng = np.random.default_rng(13)
-        est = estimate_covariance(rng.standard_normal((500, 4)))
-        assert est.n_samples == 500
-        np.testing.assert_allclose(est.matrix, est.matrix.T, atol=1e-15)
-
+class TestPlugInBias:
     def test_bias_formula(self):
         assert plug_in_bias(100, 2, 3) == pytest.approx(6 / (200 * math.log(2)))
