@@ -12,7 +12,10 @@ Stages (each resumable from the previous stage's files):
 The computations are pure functions of in-memory trials
 (:func:`train_decoders`, :func:`compute_rates`, :func:`build_report`); the
 stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
-the whole chain in memory for a simulated scenario.
+the whole chain in memory for a simulated scenario. ``train_decoders`` and
+``compute_rates`` handle each subject on its own, in forked worker
+processes where more than one CPU is usable (:func:`_map_subjects`); the
+parent writes every file, so outputs do not depend on the worker count.
 
 Every output embeds the hash of the canonical run configuration; ``rates``
 refuses decoders and ``report`` refuses points whose hash differs from its
@@ -31,7 +34,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -236,13 +243,88 @@ def _context(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _by_subject(trials) -> dict:
+def _by_subject(trials) -> list:
+    """``(subject, trials)`` pairs, ordered by subject, then trial."""
     grouped = {}
     for t in trials:
         grouped.setdefault(t.subject_id, []).append(t)
-    return {
-        s: sorted(ts, key=lambda t: t.trial_id) for s, ts in sorted(grouped.items())
-    }
+    return [(s, sorted(ts, key=lambda t: t.trial_id)) for s, ts in sorted(grouped.items())]
+
+
+def _worker_count(n_groups: int) -> int:
+    """Worker processes for ``n_groups`` subjects: one per usable CPU, at
+    most one per subject. 1 (run in-process) where ``fork`` or CPU affinity
+    is unavailable, where the caller runs other threads (forking a threaded
+    process can deadlock), or inside a daemonic process, which may not
+    start children."""
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_groups)
+
+
+#: (fn, args, groups) of the pool a worker process was forked for; set only
+#: in the worker, by the pool's initializer.
+_worker_job = None
+
+
+def _start_worker(fn, args, groups) -> None:
+    global _worker_job
+    _worker_job = (fn, args, groups)
+
+
+def _run_job(index: int):
+    fn, args, groups = _worker_job
+    return fn(*args, groups[index])
+
+
+def _map_subjects(fn, args, groups) -> list:
+    """``[fn(*args, group) for group in groups]``, with the groups spread
+    over forked worker processes when more than one CPU is usable.
+
+    ``fn``, ``args`` and ``groups`` reach the workers through the fork and
+    are never pickled; a task is a group's index and only results come
+    back. Results are read in group order, so the error raised is the one
+    in-process execution raises first. The pool is shut down before this
+    returns or raises, so no worker outlives the call.
+    """
+    workers = _worker_count(len(groups))
+    if workers <= 1:
+        return [fn(*args, group) for group in groups]
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(fn, args, groups),
+    ) as pool:
+        return list(pool.map(_run_job, range(len(groups))))
+
+
+def _train_subject(config: RunConfig, conditions, group) -> dict:
+    """Decoders of one ``(subject, trials)`` group; see :func:`train_decoders`."""
+    subject, subject_trials = group
+    window = config.lag_window()
+    per_cond = {c: [] for c in conditions}
+    labels = None
+    for trial in subject_trials:
+        with _context(f"subject {subject}, trial {trial.trial_id}"):
+            eeg = _prep_eeg(config, trial.eeg)
+            stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
+            for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
+                per_cond[condition].append(stats)
+        labels = eeg.labels
+    out = {}
+    for condition in conditions:
+        best_lam, mean_rho = decoder.cross_validate_stats(per_cond[condition], config.lambda_grid)
+        fitted = decoder.train_pooled_stats(
+            per_cond[condition], window, best_lam, labels, config.rate_hz
+        )
+        out[(subject, condition)] = (fitted, mean_rho)
+    return out
 
 
 def train_decoders(config: RunConfig, trials, conditions) -> dict:
@@ -250,29 +332,65 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
 
     Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
     trial's design is built once, for all conditions, and only its
-    sufficient statistics are kept.
+    sufficient statistics are kept. Subjects are trained independently
+    (:func:`_map_subjects`).
     """
-    window = config.lag_window()
     out = {}
-    for subject, subject_trials in _by_subject(trials).items():
-        per_cond = {c: [] for c in conditions}
-        labels = None
-        for trial in subject_trials:
-            with _context(f"subject {subject}, trial {trial.trial_id}"):
-                eeg = _prep_eeg(config, trial.eeg)
-                stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
-                for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
-                    per_cond[condition].append(stats)
-            labels = eeg.labels
-        for condition in conditions:
-            best_lam, mean_rho = decoder.cross_validate_stats(
-                per_cond[condition], config.lambda_grid
-            )
-            fitted = decoder.train_pooled_stats(
-                per_cond[condition], window, best_lam, labels, config.rate_hz
-            )
-            out[(subject, condition)] = (fitted, mean_rho)
+    for part in _map_subjects(_train_subject, (config, conditions), _by_subject(trials)):
+        out.update(part)
     return out
+
+
+def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> tuple[list, list]:
+    """Records and points of one ``(subject, trials)`` group; see
+    :func:`compute_rates`."""
+    subject, subject_trials = group
+    window = config.lag_window()
+    embed = config.embed()
+    for condition in conditions:
+        if (subject, condition) not in decoders:
+            raise DataError(f"no decoder for subject {subject}, {condition}")
+    records, points = [], []
+    for trial in subject_trials:
+        where = f"subject {subject}, trial {trial.trial_id}"
+        with _context(where):
+            eeg = _prep_eeg(config, trial.eeg)
+            valid = signals.lag_valid_slice(eeg.n_samples, window)
+            electrodes = signals.MultichannelRecording(
+                channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
+            )
+        n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
+        for condition in conditions:
+            dec, _ = decoders[(subject, condition)]
+            with _context(f"{where}, {condition}"):
+                shat = signals.normalize(decoder.reconstruct(dec, eeg))
+                stim = _stimulus(trial, condition)
+                stim = signals.normalize(stim.with_samples(stim.samples[valid]))
+                rho = decoder.pearson(shat, stim)
+                record = {
+                    **directed_redundancy_bound(stim, electrodes, shat, embed).to_dict(),
+                    "condition": condition,
+                    "subject_id": subject,
+                    "trial_id": trial.trial_id,
+                    "embed": embed.to_dict(),
+                    "rho": rho,
+                    "distortion": analysis.distortion(rho),
+                    "lambda": dec.lam,
+                    "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
+                }
+            records.append(record)
+            points.extend(
+                analysis.RateDistortionPoint(
+                    rate=record[_RATE_KEYS[kind]],
+                    distortion=record["distortion"],
+                    condition=condition,
+                    subject_id=subject,
+                    trial_id=trial.trial_id,
+                    rate_kind=kind,
+                )
+                for kind in analysis.RATE_KINDS
+            )
+    return records, points
 
 
 def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tuple[list, list]:
@@ -280,57 +398,18 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
 
     Returns (records, points) ordered by subject, trial, then condition.
     ``decoders`` maps (subject, condition) to a (Decoder, cv_curve) pair as
-    produced by :func:`train_decoders`; the curve is not used here.
+    produced by :func:`train_decoders`; the curve is not used here. Subjects
+    are rated independently (:func:`_map_subjects`).
     """
     trials = list(trials)
     if not trials:
         raise NoPoints("no trials to rate")
-    window = config.lag_window()
-    embed = config.embed()
     records, points = [], []
-    for subject, subject_trials in _by_subject(trials).items():
-        for condition in conditions:
-            if (subject, condition) not in decoders:
-                raise DataError(f"no decoder for subject {subject}, {condition}")
-        for trial in subject_trials:
-            where = f"subject {subject}, trial {trial.trial_id}"
-            with _context(where):
-                eeg = _prep_eeg(config, trial.eeg)
-                valid = signals.lag_valid_slice(eeg.n_samples, window)
-                electrodes = signals.MultichannelRecording(
-                    channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
-                )
-            n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
-            for condition in conditions:
-                dec, _ = decoders[(subject, condition)]
-                with _context(f"{where}, {condition}"):
-                    shat = signals.normalize(decoder.reconstruct(dec, eeg))
-                    stim = _stimulus(trial, condition)
-                    stim = signals.normalize(stim.with_samples(stim.samples[valid]))
-                    rho = decoder.pearson(shat, stim)
-                    record = {
-                        **directed_redundancy_bound(stim, electrodes, shat, embed).to_dict(),
-                        "condition": condition,
-                        "subject_id": subject,
-                        "trial_id": trial.trial_id,
-                        "embed": embed.to_dict(),
-                        "rho": rho,
-                        "distortion": analysis.distortion(rho),
-                        "lambda": dec.lam,
-                        "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
-                    }
-                records.append(record)
-                points.extend(
-                    analysis.RateDistortionPoint(
-                        rate=record[_RATE_KEYS[kind]],
-                        distortion=record["distortion"],
-                        condition=condition,
-                        subject_id=subject,
-                        trial_id=trial.trial_id,
-                        rate_kind=kind,
-                    )
-                    for kind in analysis.RATE_KINDS
-                )
+    for part_records, part_points in _map_subjects(
+        _rate_subject, (config, decoders, conditions), _by_subject(trials)
+    ):
+        records.extend(part_records)
+        points.extend(part_points)
     return records, points
 
 
@@ -478,6 +557,14 @@ def _load_manifest(data_dir: Path) -> dict:
     return manifest
 
 
+def _read_stimulus(path: Path) -> signals.TimeSeries:
+    """The one column of a stimulus file."""
+    rec = signals.read_recording(path)
+    if len(rec.channels) != 1:
+        raise DataError(f"{path}: a stimulus file holds one column, found {list(rec.labels)}")
+    return rec.channels[0]
+
+
 def load_trials(data_dir) -> tuple[list, str | None]:
     """Read every trial of a dataset directory into memory.
 
@@ -504,11 +591,9 @@ def load_trials(data_dir) -> tuple[list, str | None]:
             )
         for trial_id in trial_ids:
             base = subject_dir / trial_id
-            eeg, att, dst = (
-                signals.read_recording(Path(f"{base}_{suffix}.csv"))
-                for suffix in ("eeg", *_STIM_SUFFIX.values())
-            )
-            trials.append(synth.TrialData(subject, trial_id, att.channels[0], dst.channels[0], eeg))
+            eeg = signals.read_recording(Path(f"{base}_eeg.csv"))
+            att, dst = (_read_stimulus(Path(f"{base}_{suffix}.csv")) for suffix in _STIM_SUFFIX.values())
+            trials.append(synth.TrialData(subject, trial_id, att, dst, eeg))
     return trials, manifest.get("config_hash")
 
 

@@ -66,6 +66,12 @@ class Decoder:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
 
+    def __reduce__(self):
+        # unpickling re-runs the constructor: its checks and read-only copy
+        return Decoder, (
+            self.weights, self.lag_window, self.lam, self.channel_labels, self.train_rate_hz
+        )
+
     @property
     def flat_weights(self) -> np.ndarray:
         """Weights in design-column order (channel-major, lag-minor)."""

@@ -67,6 +67,10 @@ class TimeSeries:
             raise InvalidRate(f"rate_hz must be > 0, got {self.rate_hz}")
         object.__setattr__(self, "samples", _as_samples(self.samples))
 
+    def __reduce__(self):
+        # unpickling re-runs the constructor: its checks and read-only copy
+        return TimeSeries, (self.label, self.rate_hz, self.samples)
+
     def __len__(self) -> int:
         return self.samples.size
 

@@ -33,6 +33,10 @@ RNG_ALGORITHM = "philox4x64-10"
 
 _SUBJECT_STREAM = 1 << 32
 _TRIAL_STREAM = 1 << 33
+#: Trial substreams are keyed ``_TRIAL_STREAM + subject * _MAX_TRIALS + trial``,
+#: so a subject may have at most this many trials before its keys reach the
+#: next subject's.
+_MAX_TRIALS = 100_000
 
 # Envelope dynamics: two real poles at 0.9 and 0.8 give a slow, smooth
 # process; innovations are scaled for unit stationary variance.
@@ -217,6 +221,8 @@ class AadScenario:
             raise ShapeMismatch("observation_noise must be > 0")
         if min(self.n_trials, self.n_subjects, self.n_channels) < 1:
             raise ShapeMismatch("n_trials, n_subjects, n_channels must be >= 1")
+        if self.n_trials > _MAX_TRIALS:
+            raise ShapeMismatch(f"n_trials must be <= {_MAX_TRIALS}, got {self.n_trials}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +370,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
         # the observation noise goes straight into the drive buffer
         trial_scales = []
         for i, (s, tr) in enumerate(batch):
-            trng = substream(sc.seed, _TRIAL_STREAM + s * 100_000 + tr)
+            trng = substream(sc.seed, _TRIAL_STREAM + s * _MAX_TRIALS + tr)
             trial_scales.append(trng.uniform(0.8, 1.2))
             for k in range(3):
                 env[i, k] = env_scale * trng.standard_normal(total)

@@ -1,7 +1,10 @@
 """Configuration handling and the file-backed pipeline stages."""
 
 import json
+import multiprocessing
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +12,9 @@ import pytest
 
 from redflow import cli
 from redflow.cli import RunConfig, config_from_dict, load_config, main
-from redflow.errors import ConfigError, DataError
+from redflow.errors import ConfigError, DataError, ShapeMismatch
 from redflow.infotheory import EmbedSpec
-from redflow.synth import AadScenario
+from redflow.synth import AadScenario, make_aad_scenario
 
 
 TINY = {
@@ -74,6 +77,12 @@ def set_keys(text, **changes):
     return json.dumps(doc)
 
 
+def add_column(text, label="extra", value="0.5"):
+    """CSV text with one more column."""
+    lines = text.split("\n")
+    return "\n".join([lines[0] + f",{label}"] + [l + f",{value}" if l else l for l in lines[1:]])
+
+
 SIDECAR = "data/s01/t002_eeg.json"
 DECODER = "out/decoders/s01_attended.json"
 POINTS = "out/rd_points.ndjson"
@@ -93,6 +102,7 @@ MALFORMED_INPUTS = {
                     lambda row: row.split(",", 1)[0] + ",nan" * row.count(",")),
     "csv-repeated-label": ("train", "data/s01/t002_eeg.csv", 1,
                            lambda header: re.sub(r"^t,([^,]+),[^,]+", r"t,\1,\1", header)),
+    "stimulus-extra-column": ("train", "data/s01/t001_att.csv", None, add_column),
     "decoder-not-object": ("rates", DECODER, None, lambda t: "[1, 2]"),
     "decoder-invalid": ("rates", DECODER, None, lambda t: "{bad"),
     "decoder-label-string": ("rates", DECODER, None, lambda t: set_keys(t, channel_labels="T7")),
@@ -357,6 +367,112 @@ class TestPipeline:
         code = main(["rates", "--config", str(cfg_path), "--data", str(data), "--out", str(out)])
         assert code == 0
         assert strip_timestamp(out / "rates.ndjson") == before
+
+
+THREE_SUBJECTS = {**TINY, "scenario": {**TINY["scenario"], "n_subjects": 3}}
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs look usable, so the subject map uses ``n`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def pid_of(group):
+    return os.getpid()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers need the fork start method"
+)
+class TestSubjectWorkers:
+    def test_workers_are_other_processes(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        assert cli._worker_count(3) == 2
+        pids = cli._map_subjects(pid_of, (), ["s01", "s02", "s03"])
+        assert len(pids) == 3 and os.getpid() not in pids
+        use_cpus(monkeypatch, 1)
+        assert cli._map_subjects(pid_of, (), ["s01", "s02", "s03"]) == [os.getpid()] * 3
+
+    def test_in_process_while_other_threads_run(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10.0,))
+        other.start()
+        try:
+            assert cli._worker_count(3) == 1
+        finally:
+            release.set()
+            other.join(10.0)
+        assert not other.is_alive()
+        assert cli._worker_count(3) == 2
+
+    def test_in_process_inside_a_daemonic_worker(self, monkeypatch):
+        # a daemonic process may not start children: a pool there would fail
+        use_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pids = pool.apply(cli._map_subjects, (pid_of, (), ["s01", "s02", "s03"]))
+        assert len(set(pids)) == 1 and os.getpid() not in pids
+
+    def test_outputs_equal_at_one_and_two_workers(self, monkeypatch):
+        config = config_from_dict(THREE_SUBJECTS)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+        conditions = ("attended", "distractor")
+        runs = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            decoders = cli.train_decoders(config, trials, conditions)
+            records, points = cli.compute_rates(config, trials, decoders, conditions)
+            _, _, fits = cli.build_report(config, points, conditions)
+            runs.append((decoders, records, points, fits))
+        (dec1, records1, points1, fits1), (dec2, records2, points2, fits2) = runs
+        assert records1 == records2 and points1 == points2 and fits1 == fits2
+        assert len(records1) == 3 * 4 * 2
+        assert list(dec1) == list(dec2)
+        for key in dec1:
+            (a, rho_a), (b, rho_b) = dec1[key], dec2[key]
+            assert np.array_equal(a.weights, b.weights) and rho_a == rho_b
+            assert (a.lam, a.channel_labels, a.lag_window) == (b.lam, b.channel_labels, b.lag_window)
+            assert not b.weights.flags.writeable
+
+    def test_error_names_the_earliest_subject(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+        # s03 fails on an earlier trial than s02: the subject order decides
+        for name in ("s02/t002_att.csv", "s03/t001_att.csv"):
+            stim = data / name
+            stim.write_text("\n".join(stim.read_text().splitlines()[:-10]) + "\n")
+        config, trials = load_config(cfg_path), cli.load_trials(data)[0]
+        codes = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            with pytest.raises(ShapeMismatch, match="^subject s02, trial t002: stimulus length"):
+                cli.train_decoders(config, trials, ("attended",))
+            capsys.readouterr()
+            out = tmp_path / f"out{n}"
+            codes.append(main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]))
+            assert "subject s02, trial t002" in capsys.readouterr().err
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+        assert codes == [3, 3]
+
+    def test_no_worker_outlives_main(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        args = ["--config", str(cfg_path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        assert main(["all", *args]) == 0
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+        def broken(*_):
+            raise RuntimeError("broken solver")
+
+        monkeypatch.setattr(cli.decoder, "cross_validate_stats", broken)
+        with pytest.raises(RuntimeError, match="broken solver"):
+            main(["train", *args])
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestPipelineVariants:

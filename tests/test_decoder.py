@@ -1,6 +1,7 @@
 """Ridge decoder training, reconstruction, correlation, cross-validation."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -370,6 +371,19 @@ class TestSerialization:
         assert back.lam == d.lam
         assert back.channel_labels == d.channel_labels
         assert back.train_rate_hz == d.train_rate_hz
+
+    def test_pickle_round_trip_stays_read_only(self):
+        rng = np.random.default_rng(7)
+        rec, _, s = planted_trial(rng, 400, window=LagWindow(-1, 3))
+        d = train(rec, s, LagWindow(-1, 3), 0.5)
+        back = pickle.loads(pickle.dumps(d))
+        np.testing.assert_array_equal(back.weights, d.weights)
+        assert (back.lag_window, back.lam, back.channel_labels, back.train_rate_hz) == (
+            d.lag_window, d.lam, d.channel_labels, d.train_rate_hz
+        )
+        assert not back.weights.flags.writeable
+        with pytest.raises(ValueError):
+            back.weights[0, 0] = 1.0
 
     def test_reads_files_with_solver_jitter(self, tmp_path):
         rng = np.random.default_rng(8)

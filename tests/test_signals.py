@@ -1,6 +1,7 @@
 """Container types, normalization, envelopes, lag embedding, channel selection."""
 
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestTimeSeries:
         x = ts([1.0, 2.0])
         with pytest.raises(ValueError):
             x.samples[0] = 5.0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        x = ts([1.0, 2.0], label="env")
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x
+        assert not back.samples.flags.writeable
+        with pytest.raises(ValueError):
+            back.samples[0] = 5.0
 
     def test_equality(self):
         assert ts([1.0, 2.0]) == ts([1.0, 2.0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from redflow import cli, decoder, signals, synth
-from redflow.errors import ShapeMismatch, UnstableModel
+from redflow.errors import ConfigError, ShapeMismatch, UnstableModel
 from redflow.infotheory import EmbedSpec, transfer_entropy, plug_in_bias
 from redflow.synth import (
     AadScenario,
@@ -235,6 +235,15 @@ class TestAadScenario:
             AadScenario(attended_coupling=-0.1)
         with pytest.raises(ShapeMismatch):
             AadScenario(observation_noise=0.0)
+
+    def test_trial_count_stays_within_a_subjects_substreams(self):
+        # trial substreams are keyed subject * 100_000 + trial: one more
+        # trial would draw the next subject's first trial
+        AadScenario(n_trials=100_000)
+        with pytest.raises(ShapeMismatch, match="n_trials"):
+            AadScenario(n_trials=100_001)
+        with pytest.raises(ConfigError, match="n_trials"):
+            cli.config_from_dict({"scenario": {"n_trials": 100_001}})
 
     def test_deterministic(self):
         sc = AadScenario(n_samples=400, n_trials=2, n_subjects=2, seed=9)
