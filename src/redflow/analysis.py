@@ -28,6 +28,8 @@ from .errors import (
 )
 
 RATE_KINDS = ("S_to_Shat", "E_to_Shat", "S_to_E", "Rmin")
+#: The stimulus a decoder reconstructs: the attended or the distracting talker.
+CONDITIONS = ("attended", "distractor")
 
 #: Grid size for density evaluation (covers min-3h .. max+3h).
 KDE_GRID_POINTS = 512
@@ -55,6 +57,8 @@ class RateDistortionPoint:
             raise OutOfRange(f"distortion must be in [0, 1], got {self.distortion}")
         if self.rate_kind not in RATE_KINDS:
             raise ShapeMismatch(f"rate_kind must be one of {RATE_KINDS}")
+        if self.condition not in CONDITIONS:
+            raise ShapeMismatch(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
 
     @property
     def distortion_db(self) -> float | None:
@@ -179,11 +183,16 @@ def bin_rd(points, width: float, stride: float) -> list:
 
     Raises
     ------
+    ShapeMismatch
+        Unless 0 < stride <= width: a wider stride leaves gaps between
+        windows, and the points in them would never be averaged.
     NoPoints
         If no point carries a dB value.
     """
     if width <= 0 or stride <= 0:
         raise ShapeMismatch("width and stride must be > 0")
+    if stride > width:
+        raise ShapeMismatch(f"stride ({stride}) must be <= width ({width})")
     usable = [(p.rate, p.distortion_db) for p in points if p.distortion_db is not None]
     if not usable:
         raise NoPoints("no rate-distortion points with positive distortion")

@@ -135,6 +135,11 @@ class RunConfig:
             raise ConfigError("kde_level must be >= 0")
         if self.bin_width_bits <= 0 or self.bin_stride_bits <= 0:
             raise ConfigError("bin widths must be > 0")
+        if self.bin_stride_bits > self.bin_width_bits:
+            raise ConfigError(
+                f"bin_stride_bits ({self.bin_stride_bits}) must be <= "
+                f"bin_width_bits ({self.bin_width_bits}), or some rates fall in no bin"
+            )
         if not self.lambda_grid:
             raise ConfigError("lambda_grid must be non-empty")
         if any(v < 0 for v in self.lambda_grid):
@@ -231,6 +236,8 @@ def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
 
 
 def _stimulus(trial: synth.TrialData, condition: str) -> signals.TimeSeries:
+    if condition not in analysis.CONDITIONS:
+        raise ConfigError(f"unknown condition {condition!r}, expected one of {analysis.CONDITIONS}")
     return trial.attended if condition == "attended" else trial.distractor
 
 
@@ -469,7 +476,7 @@ def _report_cell(config, kind, condition, cell_points, pdf_rows, curve_rows):
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def analyze_scenario(config: RunConfig, conditions=("attended", "distractor")):
+def analyze_scenario(config: RunConfig, conditions=analysis.CONDITIONS):
     """Simulate, train, rate, and fit entirely in memory.
 
     Returns the same fits structure ``report`` writes to ``fits.json``.
@@ -601,7 +608,7 @@ def _decoder_path(out_dir: Path, subject: str, condition: str) -> Path:
     return out_dir / "decoders" / f"{subject}_{condition}.json"
 
 
-def cmd_train(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
+def cmd_train(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
     """Cross-validate lambda and fit one decoder per (subject, condition)."""
     trials, data_hash = load_trials(data_dir)
     _write_decoders(config, Path(out_dir), train_decoders(config, trials, conditions), data_hash)
@@ -635,7 +642,7 @@ def _require_config_hash(config: RunConfig, path, meta) -> None:
         )
 
 
-def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
+def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
     """Reconstruct, correlate, and compute the rate bundle per trial."""
     out_dir = Path(out_dir)
     trials, data_hash = load_trials(data_dir)
@@ -681,7 +688,7 @@ def read_rd_points(path) -> tuple[dict, list]:
                 meta = doc
                 continue
             points.append(analysis.RateDistortionPoint(**{
-                f.name: float(doc[f.name]) if f.type == "float" else doc[f.name]
+                f.name: signals.json_number(doc[f.name]) if f.type == "float" else doc[f.name]
                 for f in fields(analysis.RateDistortionPoint)
             }))
         except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
@@ -692,7 +699,7 @@ def read_rd_points(path) -> tuple[dict, list]:
 def cmd_report(
     config: RunConfig,
     out_dir,
-    conditions=("attended", "distractor"),
+    conditions=analysis.CONDITIONS,
     rate_kinds=analysis.RATE_KINDS,
 ) -> None:
     """Write pdf.csv, rd_curve.csv, and fits.json from the rate-distortion points."""
@@ -711,7 +718,7 @@ def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits, 
     signals.write_json(out_dir / "fits.json", {"meta": meta, "fits": fits})
 
 
-def cmd_all(config: RunConfig, data_dir, out_dir, conditions=("attended", "distractor")) -> None:
+def cmd_all(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
     """The four stages on the simulated trials in memory: each file is
     written once, by the same writer as its stage, and none is read back."""
     out_dir, data_hash = Path(out_dir), config.config_hash()
@@ -729,7 +736,7 @@ def cmd_all(config: RunConfig, data_dir, out_dir, conditions=("attended", "distr
 
 def _conditions(which: str) -> tuple:
     if which == "both":
-        return ("attended", "distractor")
+        return analysis.CONDITIONS
     return (which,)
 
 
@@ -747,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--condition",
-            choices=("attended", "distractor", "both"),
+            choices=(*analysis.CONDITIONS, "both"),
             default="both",
         )
         if name == "report":

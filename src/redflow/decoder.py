@@ -26,7 +26,8 @@ from .errors import (
     SingularSystem,
     ZeroVarianceSignal,
 )
-from .signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice, lag_view, read_json, write_json
+from .signals import (LagWindow, MultichannelRecording, TimeSeries, json_number, lag_valid_slice,
+                      lag_view, read_json, write_json)
 
 DECODER_FORMAT_VERSION = 1
 
@@ -342,11 +343,11 @@ def load_decoder(path) -> Decoder:
         if any(type(t) is not int for t in taus):
             raise TypeError(f"tau_min and tau_max must be integers, got {list(taus)}")
         return Decoder(
-            weights=np.array(doc["weights"], dtype=np.float64),
+            weights=[[json_number(v) for v in row] for row in doc["weights"]],
             lag_window=LagWindow(*taus),
-            lam=float(doc["lambda"]),
+            lam=json_number(doc["lambda"]),
             channel_labels=tuple(doc["channel_labels"]),
-            train_rate_hz=float(doc["rate_hz"]),
+            train_rate_hz=json_number(doc["rate_hz"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
         raise DataError(f"{path}: malformed decoder ({type(exc).__name__}: {exc})") from None

@@ -296,6 +296,16 @@ def read_json(path) -> dict:
     return doc
 
 
+def json_number(value) -> float:
+    """A number read from a JSON file, as a float. JSON numbers parse to int
+    or float; anything else, a string or a bool included, is a TypeError, so
+    ``"64"`` or ``true`` never reads as a number. Readers report it as a
+    DataError naming the file."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None = None) -> None:
     """Write one recording as CSV plus a JSON metadata sidecar.
 
@@ -319,7 +329,7 @@ def read_recording(csv_path) -> MultichannelRecording:
     """Read a recording written by :func:`write_recording`.
 
     Lines starting with ``#`` and blank lines are skipped. The sidecar must
-    carry ``rate_hz``; any other key is ignored.
+    carry ``rate_hz``, a JSON number; any other key is ignored.
 
     Raises
     ------
@@ -334,7 +344,7 @@ def read_recording(csv_path) -> MultichannelRecording:
         raise DataError(f"recording file not found: {csv_path}")
     meta = read_json(meta_path)
     try:
-        rate = float(meta["rate_hz"])
+        rate = json_number(meta["rate_hz"])
     except (KeyError, TypeError, ValueError, OverflowError):
         rate = float("nan")
     if not 0 < rate < np.inf:

@@ -242,70 +242,41 @@ def _ar2_unit_variance_scale(a1: float, a2: float) -> float:
     return 1.0 / math.sqrt(var)
 
 
-#: Time steps per tile in the AR filters: a tile of every series is copied
-#: into a small time-major buffer, so any input layout filters at one speed.
+#: Time steps per tile in :func:`_ar_filter`; each tile goes through a small
+#: time-major buffer, so any input layout filters at one speed.
 _FILTER_TILE = 128
 
 
-def _recursion_steps(y: np.ndarray, order: int):
-    """Yield ``(past, row)`` for each time t (axis 0) of ``y``, in order:
-    ``past`` holds rows t-order .. t-1 (zero before the start) and ``row``
-    is row t, to be overwritten with the output; both keep a leading axis.
-    Each tile of time steps goes through one buffer and is written back to
-    ``y`` at the end of the tile."""
-    buf = np.zeros((order + _FILTER_TILE, *y.shape[1:]))
-    steps = [(buf[t - order : t], buf[t : t + 1]) for t in range(order, len(buf))]
-    for start in range(0, len(y), _FILTER_TILE):
-        tile = y[start : start + _FILTER_TILE]
-        np.copyto(buf[order : order + len(tile)], tile)
-        yield from steps[: len(tile)]
-        np.copyto(tile, buf[order : order + len(tile)])
-        buf[:order] = buf[len(tile) : len(tile) + order]
+def _ar_filter(y: np.ndarray, taps) -> np.ndarray:
+    """y_t = x_t + a_1 y_{t-1} + ... + a_p y_{t-p} from zero initial state, along
+    axis 0 of the float64 array ``y``, in place (any memory layout); returns y.
 
-
-def _ar2_filter(noise: np.ndarray, a1: float, a2: float) -> np.ndarray:
-    """y_t = a1 y_{t-1} + a2 y_{t-2} + noise_t from zero initial state, along
-    axis 0 of the float64 array ``noise``, in place (any memory layout);
-    returns ``noise``.
-
-    Every series along the trailing axes is filtered in the same pass. Each
-    step rounds as ``x[t] + (a2*y[t-2] + a1*y[t-1])``, the transposed direct
-    form of ``scipy.signal.lfilter([1], [1, -a1, -a2], noise, axis=0)``, so
-    the result equals lfilter's bit for bit.
+    ``taps`` is ``(a_1, ..., a_p)``; each is a scalar or broadcasts over the
+    trailing axes, one coefficient per series, and every series is filtered
+    in the same pass. Each step rounds as ``x[t] + (a_p*y[t-p] + ... +
+    a_1*y[t-1])``, summed oldest first: for p <= 2 that is the transposed
+    direct form of ``scipy.signal.lfilter([1], [1, -a_1, ..., -a_p], y,
+    axis=0)``, so the result equals lfilter's bit for bit.
     """
     # a 1-D series gets a trailing axis, so each step's rows are views
-    y = noise if noise.ndim > 1 else noise[:, None]
-    taps = np.reshape([a2, a1], (2,) + (1,) * (y.ndim - 1))
-    prod, acc = np.empty((2, *y.shape[1:])), np.empty(y.shape[1:])
-    older, newer = prod
-    for past, row in _recursion_steps(y, 2):
-        np.multiply(past, taps, prod)
-        np.add(older, newer, acc)
-        np.add(row, acc, row)
-    return noise
-
-
-def _ar1_filter(drive: np.ndarray, rho) -> np.ndarray:
-    """y_t = rho y_{t-1} + drive_t from zero initial state, along axis 0 of
-    ``drive``, in place as :func:`_ar2_filter` filters; returns ``drive``.
-
-    ``rho`` broadcasts over the trailing axes, one coefficient per series.
-    Each step rounds as ``x[t] + rho*y[t-1]``, so the result equals
-    ``scipy.signal.lfilter([1], [1, -rho], drive, axis=0)`` bit for bit.
-    """
-    y = drive if drive.ndim > 1 else drive[:, None]
-    term = np.empty((1, *y.shape[1:]))
-    for past, row in _recursion_steps(y, 1):
-        np.multiply(past, rho, term)
-        np.add(row, term, row)
-    return drive
-
-
-def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
-    """x delayed by ``lag`` samples, zero-filled at the start."""
-    out = np.zeros_like(x)
-    out[lag:] = x[:-lag]
-    return out
+    x = y if y.ndim > 1 else y[:, None]
+    order, shape = len(taps), x.shape[1:]
+    coefs = np.stack([np.broadcast_to(a, shape) for a in taps[::-1]])
+    prod, acc = np.empty((order, *shape)), np.empty(shape)
+    # buf holds the last ``order`` outputs, then one tile: step t reads rows
+    # t-order .. t-1 (zero before the start) and adds into row t
+    buf = np.zeros((order + _FILTER_TILE, *shape))
+    steps = [(buf[t - order : t], buf[t]) for t in range(order, len(buf))]
+    for start in range(0, len(x), _FILTER_TILE):
+        tile = x[start : start + _FILTER_TILE]
+        np.copyto(buf[order : order + len(tile)], tile)
+        for past, row in steps[: len(tile)]:
+            np.multiply(past, coefs, prod)
+            np.add.reduce(prod, axis=0, out=acc)
+            np.add(row, acc, row)
+        np.copyto(tile, buf[order : order + len(tile)])
+        buf[:order] = buf[len(tile) : len(tile) + order]
+    return y
 
 
 def _channel_labels(n_channels: int) -> tuple:
@@ -354,15 +325,17 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
     subjects = [_subject_parameters(sc, s) for s in range(sc.n_subjects)]
     keys = [(s, tr) for s in range(sc.n_subjects) for tr in range(sc.n_trials)]
     # two buffers, filtered in place and reused by every batch: envelope
-    # innovations (trial, [att, dist, common], time) and channel drives
-    # (trial, channel, time), so each series is contiguous for the per-trial
-    # work; the filters take a time-first view. The shared component is
-    # slow (same band as the envelopes) so channels are redundant even
-    # without stimulus coupling; the channel-specific noise is white so
-    # reconstruction residuals keep broadband content.
+    # innovations (trial, [att, dist, common], time) after two zero samples,
+    # which the filter runs through and leaves +0.0, so the envelopes one and
+    # two samples late are views; and channel drives (trial, channel, time).
+    # Each series is contiguous for the per-trial work; the filters take a
+    # time-first view. The shared component is slow (same band as the
+    # envelopes) so channels are redundant even without stimulus coupling;
+    # the channel-specific noise is white so reconstruction residuals keep
+    # broadband content.
     total = sc.n_samples + _SCENARIO_BURN
     size = min(len(keys), _SCENARIO_BATCH)
-    env = np.empty((size, 3, total))
+    env = np.zeros((size, 3, 2 + total))
     drive = np.empty((size, sc.n_channels, total))
     trials = []
     for start in range(0, len(keys), size):
@@ -373,36 +346,31 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
             trng = substream(sc.seed, _TRIAL_STREAM + s * _MAX_TRIALS + tr)
             trial_scales.append(trng.uniform(0.8, 1.2))
             for k in range(3):
-                env[i, k] = env_scale * trng.standard_normal(total)
+                env[i, k, 2:] = env_scale * trng.standard_normal(total)
             drive[i] = (sc.observation_noise * trng.standard_normal((total, sc.n_channels))).T
-        time_first = np.moveaxis(env[: len(batch)], -1, 0)
-        _ar2_filter(time_first, _ENV_A1, _ENV_A2)
-
-        channel_coefs = []
+        _ar_filter(np.moveaxis(env[: len(batch)], -1, 0), (_ENV_A1, _ENV_A2))
         for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
-            att_gain, dist_gain, att_taps, dist_taps, ar_coefs, common_gains = subjects[s]
-            channel_coefs.append(ar_coefs)
-            env_att, env_dist, common = env[i]
-            att_l1, att_l2 = _lagged(env_att, 1), _lagged(env_att, 2)
-            dist_l1, dist_l2 = _lagged(env_dist, 1), _lagged(env_dist, 2)
-            for c in range(sc.n_channels):
-                # the buffer holds the observation noise, the last term of
-                # the drive; adding it in place rounds the same (a + b == b + a)
-                drive[i, c] += (
-                    att_gain * trial_scale * (att_taps[c, 0] * att_l1 + att_taps[c, 1] * att_l2)
-                    + dist_gain * trial_scale * (dist_taps[c, 0] * dist_l1 + dist_taps[c, 1] * dist_l2)
-                    + common_gains[c] * common
-                )
-        time_first = np.moveaxis(drive[: len(batch)], -1, 0)
-        _ar1_filter(time_first, np.stack(channel_coefs))
+            att_gain, dist_gain, att_taps, dist_taps, _, common_gains = subjects[s]
+            (att_l1, dist_l1), (att_l2, dist_l2) = env[i, :2, 1:-1], env[i, :2, :-2]
+            # one row per channel, with its taps as columns; the buffer holds
+            # the observation noise, the last term of the drive, and adding
+            # it in place rounds the same (a + b == b + a)
+            drive[i] += (
+                att_gain * trial_scale * (att_taps[:, :1] * att_l1 + att_taps[:, 1:] * att_l2)
+                + dist_gain * trial_scale * (dist_taps[:, :1] * dist_l1 + dist_taps[:, 1:] * dist_l2)
+                + common_gains[:, None] * env[i, 2, 2:]
+            )
+        ar_coefs = np.stack([subjects[s][4] for s, _ in batch])
+        _ar_filter(np.moveaxis(drive[: len(batch)], -1, 0), (ar_coefs,))
 
         for i, (s, tr) in enumerate(batch):
+            attended, distractor = env[i, :2, 2 + _SCENARIO_BURN:]
             trials.append(
                 TrialData(
                     subject_id=f"s{s + 1:02d}",
                     trial_id=f"t{tr + 1:03d}",
-                    attended=TimeSeries("attended_envelope", rate_hz, env[i, 0, _SCENARIO_BURN:]),
-                    distractor=TimeSeries("distractor_envelope", rate_hz, env[i, 1, _SCENARIO_BURN:]),
+                    attended=TimeSeries("attended_envelope", rate_hz, attended),
+                    distractor=TimeSeries("distractor_envelope", rate_hz, distractor),
                     eeg=MultichannelRecording(channels=tuple(
                         TimeSeries(label, rate_hz, x[_SCENARIO_BURN:])
                         for label, x in zip(labels, drive[i])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from redflow.analysis import (
     RateDistortionPoint,
@@ -96,7 +96,7 @@ class TestKde:
         x = np.random.default_rng(11).standard_normal(20_000)
         grid = np.linspace(-6.0, 6.0, 1024)
         dens = kde_pdf(x, grid)
-        assert abs(np.trapezoid(dens, grid) - 1.0) < 0.01
+        assert abs(trapezoid(dens, grid) - 1.0) < 0.01
 
     def test_nonnegative_everywhere(self):
         x = np.random.default_rng(12).uniform(0, 1, size=500)
@@ -187,6 +187,12 @@ class TestBinRd:
         out = bin_rd(pts, width=0.01, stride=0.01)
         assert sum(c for _, _, c in out) == 1
 
+    def test_stride_wider_than_width_rejected(self):
+        # windows 0.02 apart and 0.005 wide would skip most of these rates
+        pts = [rd_point(r, 0.5) for r in np.linspace(0.0, 0.1, 101)]
+        with pytest.raises(ShapeMismatch, match="stride"):
+            bin_rd(pts, width=0.005, stride=0.02)
+
     def test_no_points(self):
         with pytest.raises(NoPoints):
             bin_rd([], width=0.005, stride=0.0025)
@@ -275,6 +281,10 @@ class TestRateDistortionPoint:
     def test_rate_kind_restricted(self):
         with pytest.raises(ShapeMismatch):
             rd_point(0.01, 0.5, kind="bogus")
+
+    def test_condition_restricted(self):
+        with pytest.raises(ShapeMismatch):
+            rd_point(0.01, 0.5, cond="atended")
 
     def test_serialization(self):
         doc = rd_point(0.01, 0.5).to_dict()

@@ -110,6 +110,13 @@ MALFORMED_INPUTS = {
     "meta-invalid": ("report", POINTS, 1, lambda t: "# meta {bad"),
     "point-distortion": ("report", POINTS, 2, lambda t: set_keys(t, distortion=2.0)),
     "point-rate-kind": ("report", POINTS, 2, lambda t: set_keys(t, rate_kind="bogus")),
+    "point-condition": ("report", POINTS, 2, lambda t: set_keys(t, condition="atended")),
+    # numbers given as JSON strings or bools
+    "decoder-string-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": "100"})),
+    "decoder-string-weight": ("rates", DECODER, None, lambda t: set_keys(
+        t, weights=[[str(v) for v in row] for row in json.loads(t)["weights"]])),
+    "sidecar-string-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz="64.0")),
+    "point-bool-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=True)),
     # an integer too large for a float
     "sidecar-huge-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=10**400)),
     "decoder-huge-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": 10**400})),
@@ -174,6 +181,7 @@ class TestConfig:
             {"kde_level": "0.01"},
             {"kde_level": float("nan")},
             {"rate_hz": 0},
+            {"bin_width_bits": 0.005, "bin_stride_bits": 0.02},
         ],
         ids=repr,
     )
@@ -724,6 +732,12 @@ class TestPipelineVariants:
         for subject in ("s01", "s02"):
             meta = json.loads((out / "decoders" / f"{subject}_attended.json").read_text())["meta"]
             assert max(meta["cv_mean_rho"]) >= 0.8 * ceiling
+
+    def test_unknown_condition_refused(self):
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+        with pytest.raises(ConfigError, match="unknown condition 'atended'"):
+            cli.train_decoders(config, trials, ("atended",))
 
     def test_attended_rate_exceeds_distractor_on_asymmetric_coupling(self, tmp_path):
         doc = {

@@ -157,7 +157,7 @@ class TestScenarioRecursions:
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(200)
         a1, a2 = 1.1, -0.3
-        out = synth._ar2_filter(noise.copy(), a1, a2)
+        out = synth._ar_filter(noise.copy(), (a1, a2))
         ref = np.zeros(200)
         for t in range(200):
             ref[t] = noise[t]
@@ -170,7 +170,7 @@ class TestScenarioRecursions:
     def test_ar1_filter_matches_explicit_recursion(self):
         rng = np.random.default_rng(3)
         drive = rng.standard_normal(150)
-        out = synth._ar1_filter(drive.copy(), 0.45)
+        out = synth._ar_filter(drive.copy(), (0.45,))
         ref = np.zeros(150)
         for t in range(150):
             ref[t] = drive[t] + (0.45 * ref[t - 1] if t else 0.0)
@@ -191,12 +191,12 @@ class TestScenarioRecursions:
             series = rng.standard_normal((int(rng.integers(1, 400)), int(rng.integers(1, 6))))
             for x in (series[:, 0], series):
                 ref = lfilter([1.0], [1.0, -a1, -a2], x, axis=0)
-                assert np.array_equal(synth._ar2_filter(x.copy(), a1, a2), ref)
+                assert np.array_equal(synth._ar_filter(x.copy(), (a1, a2)), ref)
             rho = rng.uniform(-0.98, 0.98, series.shape[1])
             ref = np.column_stack([lfilter([1.0], [1.0, -r], col) for r, col in zip(rho, series.T)])
-            assert np.array_equal(synth._ar1_filter(series.copy(), rho), ref)
+            assert np.array_equal(synth._ar_filter(series.copy(), (rho,)), ref)
             ref = lfilter([1.0], [1.0, -rho[0]], series[:, 0])
-            assert np.array_equal(synth._ar1_filter(series[:, 0].copy(), rho[0]), ref)
+            assert np.array_equal(synth._ar_filter(series[:, 0].copy(), (rho[0],)), ref)
 
     def test_filters_run_in_place_on_a_strided_view(self):
         from scipy.signal import lfilter
@@ -206,13 +206,13 @@ class TestScenarioRecursions:
         rng = np.random.default_rng(8)
         x = np.moveaxis(rng.standard_normal((2, 3, 300)), -1, 0)
         ref = lfilter([1.0], [1.0, -1.1, 0.3], x, axis=0)
-        assert synth._ar2_filter(x, 1.1, -0.3) is x
+        assert synth._ar_filter(x, (1.1, -0.3)) is x
         assert np.array_equal(x, ref)
         rho = np.array([0.2, 0.3, 0.4])
         ref = np.empty_like(x)
         for i, c in np.ndindex(2, 3):
             ref[:, i, c] = lfilter([1.0], [1.0, -rho[c]], x[:, i, c])
-        assert synth._ar1_filter(x, rho) is x
+        assert synth._ar_filter(x, (rho,)) is x
         assert np.array_equal(x, ref)
 
     def test_envelope_innovation_scale_gives_unit_variance(self):
