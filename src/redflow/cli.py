@@ -13,9 +13,12 @@ The computations are pure functions of in-memory trials
 (:func:`train_decoders`, :func:`compute_rates`, :func:`build_report`); the
 stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
 the whole chain in memory for a simulated scenario. ``train_decoders`` and
-``compute_rates`` handle each subject on its own, in forked worker
-processes where more than one CPU is usable (:func:`_map_subjects`); the
-parent writes every file, so outputs do not depend on the worker count.
+``compute_rates`` handle each subject on its own, and ``simulate`` writes
+each trial's CSV files and sidecars on its own, in forked worker processes
+where more than one CPU is usable (:func:`_map_groups`). Each file is
+written by exactly one process; the parent writes the dataset manifest and
+every file under the output directory, so outputs do not depend on the
+worker count.
 
 Every output embeds the hash of the canonical run configuration; ``rates``
 refuses decoders and ``report`` refuses points whose hash differs from its
@@ -259,8 +262,8 @@ def _by_subject(trials) -> list:
 
 
 def _worker_count(n_groups: int) -> int:
-    """Worker processes for ``n_groups`` subjects: one per usable CPU, at
-    most one per subject. 1 (run in-process) where ``fork`` or CPU affinity
+    """Worker processes for ``n_groups`` groups: one per usable CPU, at
+    most one per group. 1 (run in-process) where ``fork`` or CPU affinity
     is unavailable, where the caller runs other threads (forking a threaded
     process can deadlock), or inside a daemonic process, which may not
     start children."""
@@ -289,9 +292,11 @@ def _run_job(index: int):
     return fn(*args, groups[index])
 
 
-def _map_subjects(fn, args, groups) -> list:
+def _map_groups(fn, args, groups) -> list:
     """``[fn(*args, group) for group in groups]``, with the groups spread
-    over forked worker processes when more than one CPU is usable.
+    over forked worker processes when more than one CPU is usable. A group
+    is whatever ``fn`` handles on its own: a ``(subject, trials)`` pair for
+    training and rating, one trial for writing the dataset.
 
     ``fn``, ``args`` and ``groups`` reach the workers through the fork and
     are never pickled; a task is a group's index and only results come
@@ -340,10 +345,10 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
     trial's design is built once, for all conditions, and only its
     sufficient statistics are kept. Subjects are trained independently
-    (:func:`_map_subjects`).
+    (:func:`_map_groups`).
     """
     out = {}
-    for part in _map_subjects(_train_subject, (config, conditions), _by_subject(trials)):
+    for part in _map_groups(_train_subject, (config, conditions), _by_subject(trials)):
         out.update(part)
     return out
 
@@ -406,13 +411,13 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
     Returns (records, points) ordered by subject, trial, then condition.
     ``decoders`` maps (subject, condition) to a (Decoder, cv_curve) pair as
     produced by :func:`train_decoders`; the curve is not used here. Subjects
-    are rated independently (:func:`_map_subjects`).
+    are rated independently (:func:`_map_groups`).
     """
     trials = list(trials)
     if not trials:
         raise NoPoints("no trials to rate")
     records, points = [], []
-    for part_records, part_points in _map_subjects(
+    for part_records, part_points in _map_groups(
         _rate_subject, (config, decoders, conditions), _by_subject(trials)
     ):
         records.extend(part_records)
@@ -521,18 +526,23 @@ def cmd_simulate(config: RunConfig, data_dir) -> list:
     return trials
 
 
+def _write_trial(data_dir: Path, stamp: dict, trial: synth.TrialData) -> None:
+    """One trial's EEG and stimulus CSV files, each with its sidecar."""
+    base = data_dir / trial.subject_id / trial.trial_id
+    signals.write_recording(trial.eeg, Path(str(base) + "_eeg.csv"), extra_meta=stamp)
+    for condition, suffix in _STIM_SUFFIX.items():
+        rec = signals.MultichannelRecording(channels=(_stimulus(trial, condition),))
+        signals.write_recording(rec, Path(f"{base}_{suffix}.csv"), extra_meta=stamp)
+
+
 def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
-    data_dir.mkdir(parents=True, exist_ok=True)
+    """The directories first, then each trial's files (:func:`_map_groups`),
+    then the manifest."""
     subjects = sorted({t.subject_id for t in trials})
-    stamp = {"config_hash": config.config_hash()}
-    for trial in trials:
-        subject_dir = data_dir / trial.subject_id
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        base = subject_dir / trial.trial_id
-        signals.write_recording(trial.eeg, Path(str(base) + "_eeg.csv"), extra_meta=stamp)
-        for condition, suffix in _STIM_SUFFIX.items():
-            rec = signals.MultichannelRecording(channels=(_stimulus(trial, condition),))
-            signals.write_recording(rec, Path(f"{base}_{suffix}.csv"), extra_meta=stamp)
+    data_dir.mkdir(parents=True, exist_ok=True)
+    for subject in subjects:
+        (data_dir / subject).mkdir(exist_ok=True)
+    _map_groups(_write_trial, (data_dir, {"config_hash": config.config_hash()}), trials)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.config_hash(),
@@ -642,6 +652,19 @@ def _require_config_hash(config: RunConfig, path, meta) -> None:
         )
 
 
+def _require_decoder_fits(config: RunConfig, path, dec: decoder.Decoder) -> None:
+    """Refuse a decoder whose channels (in order), lag window or sampling
+    rate differ from the current config's."""
+    for name, want in (
+        ("channel_labels", config.channel_subset),
+        ("lag_window", config.lag_window()),
+        ("train_rate_hz", config.rate_hz),
+    ):
+        found = getattr(dec, name)
+        if found != want:
+            raise DataError(f"{path}: decoder {name} {found!r} != config's {want!r}")
+
+
 def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
     """Reconstruct, correlate, and compute the rate bundle per trial."""
     out_dir = Path(out_dir)
@@ -651,7 +674,9 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIO
         for condition in conditions:
             path = _decoder_path(out_dir, subject, condition)
             _require_config_hash(config, path, signals.read_json(path).get("meta"))
-            decoders[(subject, condition)] = (decoder.load_decoder(path), None)
+            dec = decoder.load_decoder(path)
+            _require_decoder_fits(config, path, dec)
+            decoders[(subject, condition)] = (dec, None)
     records, points = compute_rates(config, trials, decoders, conditions)
     _write_rates(config, out_dir, records, points, data_hash)
 

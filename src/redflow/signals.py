@@ -10,6 +10,7 @@ safe for concurrent read-only use.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -306,6 +307,13 @@ def json_number(value) -> float:
     return float(value)
 
 
+@functools.lru_cache(maxsize=8)
+def _time_column(n_samples: int, rate_hz: float) -> tuple:
+    """``repr`` of each sample's time in seconds, ``i / rate_hz``: the first
+    CSV column, the same for every file of a given length and rate."""
+    return tuple(map(repr, (np.arange(n_samples) / rate_hz).tolist()))
+
+
 def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None = None) -> None:
     """Write one recording as CSV plus a JSON metadata sidecar.
 
@@ -314,14 +322,15 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
     ``.json``) carries ``rate_hz`` plus any ``extra_meta`` entries.
     """
     csv_path = Path(csv_path)
-    rows = np.column_stack(
-        [np.arange(r.n_samples) / r.rate_hz] + [ch.samples for ch in r.channels]
-    ).tolist()
+    times = _time_column(r.n_samples, r.rate_hz)
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerow(["t", *r.labels])
         # repr of a finite float never needs CSV quoting and round-trips exactly;
         # "\r\n" is csv.writer's line terminator.
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(
+            t + "," + ",".join(map(repr, row)) + "\r\n"
+            for t, row in zip(times, r.to_array().tolist())
+        )
     write_json(csv_path.with_suffix(".json"), {**(extra_meta or {}), "rate_hz": r.rate_hz})
 
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import threading
 from pathlib import Path
 
@@ -106,6 +107,15 @@ MALFORMED_INPUTS = {
     "decoder-not-object": ("rates", DECODER, None, lambda t: "[1, 2]"),
     "decoder-invalid": ("rates", DECODER, None, lambda t: "{bad"),
     "decoder-label-string": ("rates", DECODER, None, lambda t: set_keys(t, channel_labels="T7")),
+    # a well-formed decoder for other channels, lags or rate than the config's
+    "decoder-label-order": ("rates", DECODER, None, lambda t: set_keys(
+        t, channel_labels=json.loads(t)["channel_labels"][::-1])),
+    "decoder-label-repeated": ("rates", DECODER, None, lambda t: set_keys(t, channel_labels=["T7"] * 6)),
+    "decoder-label-numbers": ("rates", DECODER, None, lambda t: set_keys(
+        t, channel_labels=[1, 2, 3, 4, 5, 6])),
+    "decoder-other-lags": ("rates", DECODER, None, lambda t: set_keys(
+        t, tau_min=json.loads(t)["tau_min"] + 1, tau_max=json.loads(t)["tau_max"] + 1)),
+    "decoder-other-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=128.0)),
     "meta-not-object": ("report", POINTS, 1, lambda t: "# meta [1]"),
     "meta-invalid": ("report", POINTS, 1, lambda t: "# meta {bad"),
     "point-distortion": ("report", POINTS, 2, lambda t: set_keys(t, distortion=2.0)),
@@ -396,10 +406,10 @@ class TestSubjectWorkers:
     def test_workers_are_other_processes(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         assert cli._worker_count(3) == 2
-        pids = cli._map_subjects(pid_of, (), ["s01", "s02", "s03"])
+        pids = cli._map_groups(pid_of, (), ["s01", "s02", "s03"])
         assert len(pids) == 3 and os.getpid() not in pids
         use_cpus(monkeypatch, 1)
-        assert cli._map_subjects(pid_of, (), ["s01", "s02", "s03"]) == [os.getpid()] * 3
+        assert cli._map_groups(pid_of, (), ["s01", "s02", "s03"]) == [os.getpid()] * 3
 
     def test_in_process_while_other_threads_run(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -418,7 +428,7 @@ class TestSubjectWorkers:
         # a daemonic process may not start children: a pool there would fail
         use_cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            pids = pool.apply(cli._map_subjects, (pid_of, (), ["s01", "s02", "s03"]))
+            pids = pool.apply(cli._map_groups, (pid_of, (), ["s01", "s02", "s03"]))
         assert len(set(pids)) == 1 and os.getpid() not in pids
 
     def test_outputs_equal_at_one_and_two_workers(self, monkeypatch):
@@ -441,6 +451,38 @@ class TestSubjectWorkers:
             assert np.array_equal(a.weights, b.weights) and rho_a == rho_b
             assert (a.lam, a.channel_labels, a.lag_window) == (b.lam, b.channel_labels, b.lag_window)
             assert not b.weights.flags.writeable
+
+    def test_dataset_equal_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        trees = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            data = tmp_path / f"data{n}"
+            assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+            trees.append({
+                p.relative_to(data): p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()
+            })
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 1 + 3 * 4 * 6  # the manifest, 3 CSVs and 3 sidecars a trial
+
+    def test_write_error_names_the_earliest_trial(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        data = tmp_path / "data"
+        errors = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            if data.exists():
+                shutil.rmtree(data)
+            # a later trial fails too: the trial order decides
+            for name in ("s01/t002_eeg.csv", "s03/t001_att.csv"):
+                (data / name).mkdir(parents=True)
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert str(data / "s01" / "t002_eeg.csv") in errors[-1]
+            assert not (data / "manifest.json").exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
 
     def test_error_names_the_earliest_subject(self, tmp_path, monkeypatch, capsys):
         cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)

@@ -311,6 +311,21 @@ class TestRecordingFiles:
         assert written.count(b"\r\n") == r.n_samples + 1
         assert read_recording(path).labels == labels
 
+    def test_time_column_per_length_and_rate(self, tmp_path):
+        # recordings of other lengths and rates in turn: each file's time
+        # column is its own, as if computed afresh
+        rng = np.random.default_rng(11)
+        shapes = [(3200, 64.0), (700, 100.0), (500, 3.7)] * 2 + [(700, 64.0), (3200, 64.0)]
+        for k, (n, rate) in enumerate(shapes):
+            r = MultichannelRecording(channels=tuple(
+                ts(rng.standard_normal(n), rate=rate, label=lab) for lab in ("a", "b")
+            ))
+            path = tmp_path / f"rec{k}.csv"
+            write_recording(r, path)
+            rows = np.column_stack([np.arange(n) / rate] + [ch.samples for ch in r.channels])
+            expected = "t,a,b\r\n" + "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+            assert path.read_bytes() == expected.encode(), (n, rate)
+
     def test_round_trip_exact_with_sign(self, tmp_path):
         values = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308,
                   0.1 + 0.2, 1 / 3]
