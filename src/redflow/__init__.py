@@ -19,7 +19,7 @@ from .analysis import (
     t_cdf,
     to_db,
 )
-from .decoder import Decoder, cross_validate, load_decoder, pearson, reconstruct, save_decoder, train
+from .decoder import Decoder, load_decoder, pearson, reconstruct, save_decoder, train
 from .errors import RedflowError
 from .infotheory import EmbedSpec, gaussian_cmi, plug_in_bias, transfer_entropy
 from .redundancy import RateBundle, directed_redundancy_bound
@@ -28,7 +28,6 @@ from .signals import (
     LagWindow,
     MultichannelRecording,
     TimeSeries,
-    extract_envelope,
     normalize,
     read_recording,
     select_channels,

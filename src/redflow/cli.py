@@ -4,8 +4,9 @@ Stages (each resumable from the previous stage's files):
 
 * ``simulate``  config -> dataset directory (per-trial CSV + JSON sidecars)
 * ``train``     dataset -> one decoder JSON per (subject, condition)
-* ``rates``     dataset + decoders -> rates.ndjson + rd_points.ndjson
-* ``report``    rd_points -> pdf.csv, rd_curve.csv, fits.json
+* ``rates``     dataset + decoders -> rates.ndjson, and rd_points.ndjson,
+  the records' distortion-rate points as an export
+* ``report``    rates.ndjson -> pdf.csv, rd_curve.csv, fits.json
 * ``all``       the four in memory on the simulated trials, writing the
   same files as the four stages and reading none back
 
@@ -21,8 +22,8 @@ every file under the output directory, so outputs do not depend on the
 worker count.
 
 Every output embeds the hash of the canonical run configuration; ``rates``
-refuses decoders and ``report`` refuses points whose hash differs from its
-own configuration. The outputs of ``train``, ``rates`` and ``report`` also
+refuses decoders and ``report`` refuses rate records whose hash differs from
+its own configuration. The outputs of ``train``, ``rates`` and ``report`` also
 carry ``data_config_hash``, the hash the dataset was made with (null for a
 manifest without one). Outputs are deterministic for a given config and
 seed except for one ``generated_at`` timestamp inside each file's metadata
@@ -353,8 +354,8 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     return out
 
 
-def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> tuple[list, list]:
-    """Records and points of one ``(subject, trials)`` group; see
+def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
+    """Rate records of one ``(subject, trials)`` group; see
     :func:`compute_rates`."""
     subject, subject_trials = group
     window = config.lag_window()
@@ -362,7 +363,7 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> tuple
     for condition in conditions:
         if (subject, condition) not in decoders:
             raise DataError(f"no decoder for subject {subject}, {condition}")
-    records, points = [], []
+    records = []
     for trial in subject_trials:
         where = f"subject {subject}, trial {trial.trial_id}"
         with _context(where):
@@ -379,7 +380,7 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> tuple
                 stim = _stimulus(trial, condition)
                 stim = signals.normalize(stim.with_samples(stim.samples[valid]))
                 rho = decoder.pearson(shat, stim)
-                record = {
+                records.append({
                     **directed_redundancy_bound(stim, electrodes, shat, embed).to_dict(),
                     "condition": condition,
                     "subject_id": subject,
@@ -389,40 +390,41 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> tuple
                     "distortion": analysis.distortion(rho),
                     "lambda": dec.lam,
                     "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
-                }
-            records.append(record)
-            points.extend(
-                analysis.RateDistortionPoint(
-                    rate=record[_RATE_KEYS[kind]],
-                    distortion=record["distortion"],
-                    condition=condition,
-                    subject_id=subject,
-                    trial_id=trial.trial_id,
-                    rate_kind=kind,
-                )
-                for kind in analysis.RATE_KINDS
-            )
-    return records, points
+                })
+    return records
+
+
+def _record_points(record: dict) -> list:
+    """The distortion-rate points of one rate record, one per rate kind in
+    ``RATE_KINDS`` order."""
+    return [
+        analysis.RateDistortionPoint(
+            rate=record[_RATE_KEYS[kind]],
+            distortion=record["distortion"],
+            condition=record["condition"],
+            subject_id=record["subject_id"],
+            trial_id=record["trial_id"],
+            rate_kind=kind,
+        )
+        for kind in analysis.RATE_KINDS
+    ]
 
 
 def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tuple[list, list]:
     """Rate record and distortion-rate points per (trial, condition).
 
-    Returns (records, points) ordered by subject, trial, then condition.
-    ``decoders`` maps (subject, condition) to a (Decoder, cv_curve) pair as
-    produced by :func:`train_decoders`; the curve is not used here. Subjects
-    are rated independently (:func:`_map_groups`).
+    Returns (records, points) ordered by subject, trial, then condition, the
+    points projected from the records (:func:`_record_points`). ``decoders``
+    maps (subject, condition) to a (Decoder, cv_curve) pair as produced by
+    :func:`train_decoders`; the curve is not used here. Subjects are rated
+    independently (:func:`_map_groups`).
     """
     trials = list(trials)
     if not trials:
         raise NoPoints("no trials to rate")
-    records, points = [], []
-    for part_records, part_points in _map_groups(
-        _rate_subject, (config, decoders, conditions), _by_subject(trials)
-    ):
-        records.extend(part_records)
-        points.extend(part_points)
-    return records, points
+    parts = _map_groups(_rate_subject, (config, decoders, conditions), _by_subject(trials))
+    records = [record for part in parts for record in part]
+    return records, [point for record in records for point in _record_points(record)]
 
 
 def build_report(config: RunConfig, points, conditions, rate_kinds=analysis.RATE_KINDS):
@@ -693,11 +695,12 @@ def _write_rates(config: RunConfig, out_dir: Path, records, points, data_hash) -
     )
 
 
-def read_rd_points(path) -> tuple[dict, list]:
-    """Read an rd_points.ndjson file; returns (meta, points)."""
+def read_rates(path) -> tuple[dict, list]:
+    """Read a rates.ndjson file; returns (meta, points), the points of each
+    record (:func:`_record_points`) in file order."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"rate-distortion points not found: {path}")
+        raise DataError(f"rate records not found: {path}")
     lines = path.read_text().split("\n")
     if not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing metadata header line")
@@ -712,10 +715,9 @@ def read_rd_points(path) -> tuple[dict, list]:
             if lineno == 1:
                 meta = doc
                 continue
-            points.append(analysis.RateDistortionPoint(**{
-                f.name: signals.json_number(doc[f.name]) if f.type == "float" else doc[f.name]
-                for f in fields(analysis.RateDistortionPoint)
-            }))
+            for key in (*_RATE_KEYS.values(), "distortion"):
+                doc[key] = signals.json_number(doc[key])
+            points.extend(_record_points(doc))
         except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
             raise DataError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
     return meta, points
@@ -727,10 +729,10 @@ def cmd_report(
     conditions=analysis.CONDITIONS,
     rate_kinds=analysis.RATE_KINDS,
 ) -> None:
-    """Write pdf.csv, rd_curve.csv, and fits.json from the rate-distortion points."""
+    """Write pdf.csv, rd_curve.csv, and fits.json from the rate records."""
     out_dir = Path(out_dir)
-    path = out_dir / "rd_points.ndjson"
-    in_meta, points = read_rd_points(path)
+    path = out_dir / "rates.ndjson"
+    in_meta, points = read_rates(path)
     _require_config_hash(config, path, in_meta)
     report = build_report(config, points, conditions, rate_kinds)
     _write_report(config, out_dir, *report, in_meta.get("data_config_hash"))

@@ -252,8 +252,12 @@ def select_best_lambda(lambdas, mean_rho) -> float:
 def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
     """Leave-one-trial-out ridge selection on per-trial statistics.
 
-    Each fold solves the normal equations of the other trials and scores the
-    held-out trial from its own statistics; no design matrix is needed.
+    ``stats`` holds one :class:`TrialStats` per trial. Each fold solves the
+    normal equations of the other trials and scores the held-out trial's
+    Pearson correlation from its own statistics; no design matrix is
+    needed. Returns the lambda with the highest mean held-out correlation
+    (ties toward the larger lambda) and the per-lambda means in input order;
+    fewer than 2 trials raise :class:`InsufficientTrials`.
     """
     stats = list(stats)
     lambdas = [float(v) for v in lambdas]
@@ -271,23 +275,6 @@ def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
         ]
         mean_rho.append(float(np.mean(rhos)))
     return select_best_lambda(lambdas, mean_rho), mean_rho
-
-
-def cross_validate(trials, w: LagWindow, lambdas) -> tuple[float, list]:
-    """Leave-one-trial-out selection of the ridge parameter.
-
-    For each candidate lambda, decoders are trained on all-but-one trial
-    (by accumulating the per-trial normal equations) and scored by Pearson
-    correlation on the held-out trial. Returns the lambda with the highest
-    mean held-out correlation (ties toward the larger lambda) and the
-    per-lambda means in input order.
-
-    Raises
-    ------
-    InsufficientTrials
-        If fewer than 2 trials are supplied.
-    """
-    return cross_validate_stats([trial_stats(r, [s], w)[0] for r, s in trials], lambdas)
 
 
 def train_pooled_stats(

@@ -179,60 +179,6 @@ def normalize(x: TimeSeries) -> TimeSeries:
     return x.with_samples((x.samples - mu) / np.sqrt(var))
 
 
-def extract_envelope(
-    audio: TimeSeries, target_rate_hz: float, compression: float = 1.0
-) -> TimeSeries:
-    """Temporal envelope of a signal, resampled to ``target_rate_hz``.
-
-    Pipeline: magnitude of the analytic signal (frequency-domain Hilbert
-    transform), causal 4th-order Butterworth low-pass at ``target_rate_hz/2``
-    applied as cascaded biquads, clip at zero, optional power-law compression
-    ``env ** compression``, then integer-factor decimation. Timestamps refer
-    to the first retained sample; no fractional-delay compensation is applied.
-
-    Parameters
-    ----------
-    audio : TimeSeries
-        Input signal; its rate must be an integer multiple of the target and
-        at least twice the target.
-    target_rate_hz : float
-        Output sampling rate.
-    compression : float
-        Power-law exponent applied to the nonnegative envelope (1.0 = linear).
-
-    Raises
-    ------
-    InvalidRate
-        If ``target_rate_hz`` exceeds half the input rate, or the input rate
-        is not an integer multiple of the target.
-    """
-    if target_rate_hz <= 0:
-        raise InvalidRate(f"target rate must be > 0, got {target_rate_hz}")
-    if audio.rate_hz < 2.0 * target_rate_hz:
-        raise InvalidRate(
-            f"input rate {audio.rate_hz} Hz must be >= 2x target {target_rate_hz} Hz"
-        )
-    factor = audio.rate_hz / target_rate_hz
-    if abs(factor - round(factor)) > 1e-9:
-        raise InvalidRate(
-            f"input rate {audio.rate_hz} Hz is not an integer multiple of "
-            f"target {target_rate_hz} Hz"
-        )
-    factor = int(round(factor))
-
-    # imported here: scipy.signal (and the scipy.stats it loads) adds most of
-    # a second and about 40 MB to start-up, and no pipeline stage calls this
-    from scipy.signal import butter, hilbert, sosfilt
-
-    env = np.abs(hilbert(audio.samples))
-    sos = butter(4, target_rate_hz / 2.0, btype="low", fs=audio.rate_hz, output="sos")
-    env = sosfilt(sos, env)
-    env = np.maximum(env, 0.0)
-    if compression != 1.0:
-        env = env**compression
-    return TimeSeries(audio.label, float(target_rate_hz), env[::factor])
-
-
 def lag_valid_slice(n: int, w: LagWindow) -> slice:
     """Row range of the original series for which every lag in ``w`` is in bounds."""
     lo = max(0, -w.tau_min)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from redflow import cli
+from redflow.analysis import RATE_KINDS
 from redflow.cli import RunConfig, config_from_dict, load_config, main
 from redflow.errors import ConfigError, DataError, ShapeMismatch
 from redflow.infotheory import EmbedSpec
@@ -86,13 +87,13 @@ def add_column(text, label="extra", value="0.5"):
 
 SIDECAR = "data/s01/t002_eeg.json"
 DECODER = "out/decoders/s01_attended.json"
-POINTS = "out/rd_points.ndjson"
+RATES = "out/rates.ndjson"
 
 #: case -> (command that reads the file, file under the run directory, line
 #: to edit or None for the whole file, edit of that text)
 MALFORMED_INPUTS = {
     "decoder-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": None})),
-    "point-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=None)),
+    "point-rate": ("report", RATES, 2, lambda t: set_keys(t, r_s_to_shat=None)),
     "sidecar-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz="fast")),
     "manifest-not-object": ("train", "data/manifest.json", None, lambda t: "[1]"),
     "manifest-invalid": ("train", "data/manifest.json", None, lambda t: "{bad"),
@@ -116,23 +117,24 @@ MALFORMED_INPUTS = {
     "decoder-other-lags": ("rates", DECODER, None, lambda t: set_keys(
         t, tau_min=json.loads(t)["tau_min"] + 1, tau_max=json.loads(t)["tau_max"] + 1)),
     "decoder-other-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=128.0)),
-    "meta-not-object": ("report", POINTS, 1, lambda t: "# meta [1]"),
-    "meta-invalid": ("report", POINTS, 1, lambda t: "# meta {bad"),
-    "point-distortion": ("report", POINTS, 2, lambda t: set_keys(t, distortion=2.0)),
-    "point-rate-kind": ("report", POINTS, 2, lambda t: set_keys(t, rate_kind="bogus")),
-    "point-condition": ("report", POINTS, 2, lambda t: set_keys(t, condition="atended")),
+    "meta-not-object": ("report", RATES, 1, lambda t: "# meta [1]"),
+    "meta-invalid": ("report", RATES, 1, lambda t: "# meta {bad"),
+    "point-distortion": ("report", RATES, 2, lambda t: set_keys(t, distortion=2.0)),
+    # a record without the rate behind one rate kind
+    "point-rate-kind": ("report", RATES, 2, lambda t: set_keys(t, r_min=None)),
+    "point-condition": ("report", RATES, 2, lambda t: set_keys(t, condition="atended")),
     # numbers given as JSON strings or bools
     "decoder-string-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": "100"})),
     "decoder-string-weight": ("rates", DECODER, None, lambda t: set_keys(
         t, weights=[[str(v) for v in row] for row in json.loads(t)["weights"]])),
     "sidecar-string-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz="64.0")),
-    "point-bool-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=True)),
+    "point-bool-rate": ("report", RATES, 2, lambda t: set_keys(t, r_e_to_shat=True)),
     # an integer too large for a float
     "sidecar-huge-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=10**400)),
     "decoder-huge-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": 10**400})),
-    "point-huge-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=10**400)),
+    "point-huge-rate": ("report", RATES, 2, lambda t: set_keys(t, r_s_to_e=10**400)),
     # Python's json writes and reads NaN and Infinity
-    "point-nan-rate": ("report", POINTS, 2, lambda t: set_keys(t, rate=float("nan"))),
+    "point-nan-rate": ("report", RATES, 2, lambda t: set_keys(t, r_min=float("nan"))),
     "sidecar-infinite-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=float("inf"))),
     "decoder-nan-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": float("nan")})),
     "decoder-negative-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": -1.0})),
@@ -301,6 +303,29 @@ class TestPipeline:
         kinds = {json.loads(l)["rate_kind"] for l in lines}
         assert kinds == {"S_to_Shat", "E_to_Shat", "S_to_E", "Rmin"}
 
+    def test_report_reads_the_rate_records(self, run_dirs, tmp_path):
+        # report needs no rd_points.ndjson: it projects rates.ndjson, and
+        # each record's four points are its rd_points.ndjson lines
+        root, cfg_path, data, out = run_dirs
+        records = [json.loads(l) for l in read_nonmeta_lines(out / "rates.ndjson")]
+        points = [json.loads(l) for l in read_nonmeta_lines(out / "rd_points.ndjson")]
+        assert len(points) == 4 * len(records)
+        for i, record in enumerate(records):
+            for kind, point in zip(RATE_KINDS, points[4 * i : 4 * i + 4]):
+                assert point["rate_kind"] == kind
+                assert point["rate"] == record[cli._RATE_KEYS[kind]]
+                for key in ("distortion", "condition", "subject_id", "trial_id"):
+                    assert point[key] == record[key], key
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "rd_points.ndjson").unlink()
+        for name in ("pdf.csv", "rd_curve.csv", "fits.json"):
+            (copy / name).unlink()
+        assert main(["report", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(copy)]) == 0
+        for name in ("pdf.csv", "rd_curve.csv", "fits.json"):
+            assert strip_timestamp(copy / name) == strip_timestamp(out / name), name
+
     def test_fits_has_eight_cells(self, run_dirs):
         _, _, _, out = run_dirs
         doc = json.loads((out / "fits.json").read_text())
@@ -373,7 +398,7 @@ class TestPipeline:
             raise AssertionError("all must not read its own files back")
 
         for module, name in ((signals, "read_recording"), (cli, "load_trials"),
-                             (decoder, "load_decoder"), (cli, "read_rd_points")):
+                             (decoder, "load_decoder"), (cli, "read_rates")):
             monkeypatch.setattr(module, name, refuse)
         cfg_path = write_config(tmp_path)
         assert main(["all", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
@@ -637,7 +662,7 @@ class TestPipelineVariants:
         assert main([command, *args]) == 3
         err = capsys.readouterr().err
         assert path.name in err
-        if name == POINTS:
+        if name == RATES:
             assert f"line {lineno}:" in err
 
     def test_manifest_without_trial_count_is_data_error(self, tmp_path):

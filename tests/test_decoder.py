@@ -10,7 +10,7 @@ import scipy.linalg
 from redflow import decoder
 from redflow.decoder import (
     Decoder,
-    cross_validate,
+    cross_validate_stats,
     load_decoder,
     pearson,
     reconstruct,
@@ -285,21 +285,26 @@ class TestCrossValidate:
             trials.append((rec, ts(t, label="s")))
         return trials
 
+    @staticmethod
+    def _stats(trials, w=LagWindow(0, 8)):
+        """The ``trial_stats`` of each (recording, target) trial."""
+        return [decoder.trial_stats(rec, [s], w)[0] for rec, s in trials]
+
     def test_singleton_grid(self):
         rng = np.random.default_rng(2)
-        best, curve = cross_validate(self._trials(rng, 3), LagWindow(0, 8), [0.37])
+        best, curve = cross_validate_stats(self._stats(self._trials(rng, 3)), [0.37])
         assert best == 0.37
         assert len(curve) == 1
 
     def test_needs_two_trials(self):
         rng = np.random.default_rng(2)
         with pytest.raises(InsufficientTrials):
-            cross_validate(self._trials(rng, 1), LagWindow(0, 8), [1.0])
+            cross_validate_stats(self._stats(self._trials(rng, 1)), [1.0])
 
     def test_duplicate_trials_prefer_unregularized(self):
         rng = np.random.default_rng(3)
         trial = self._trials(rng, 1)[0]
-        best, curve = cross_validate([trial, trial], LagWindow(0, 8), [0.0, 1e6])
+        best, curve = cross_validate_stats(self._stats([trial, trial]), [0.0, 1e6])
         assert best == 0.0
         assert curve[0] > curve[1]
 
@@ -308,7 +313,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(4)
         snr = 4.0
         trials = self._trials(rng, 8, n=4000, snr=snr)
-        best, curve = cross_validate(trials, LagWindow(0, 8), [10.0**k for k in range(-4, 5)])
+        best, curve = cross_validate_stats(self._stats(trials), [10.0**k for k in range(-4, 5)])
         ceiling = np.sqrt(snr / (1.0 + snr))
         assert abs(max(curve) - ceiling) < 0.05
 
@@ -318,7 +323,7 @@ class TestCrossValidate:
         rec, s = trials[1]
         trials[1] = (rec, ts(np.ones(len(s)), label="s"))
         with pytest.raises(ZeroVarianceSignal):
-            cross_validate(trials, LagWindow(0, 8), [1.0])
+            cross_validate_stats(self._stats(trials), [1.0])
 
     def test_ties_break_to_larger_lambda(self):
         from redflow.decoder import select_best_lambda

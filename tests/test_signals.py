@@ -1,4 +1,4 @@
-"""Container types, normalization, envelopes, lag embedding, channel selection."""
+"""Container types, normalization, lag embedding, channel selection."""
 
 import csv
 import pickle
@@ -20,7 +20,6 @@ from redflow.signals import (
     LagWindow,
     MultichannelRecording,
     TimeSeries,
-    extract_envelope,
     lag_valid_slice,
     normalize,
     read_recording,
@@ -115,65 +114,6 @@ class TestNormalize:
             out = normalize(ts(x))
             assert abs(np.mean(out.samples)) < 1e-12
             assert abs(np.mean(out.samples**2) - 1.0) < 1e-9
-
-
-class TestExtractEnvelope:
-    def test_sinusoid_envelope_is_amplitude(self):
-        fs, amp = 16000, 2.5
-        t = np.arange(fs * 4) / fs
-        audio = ts(amp * np.sin(2 * np.pi * 1000.0 * t), rate=fs)
-        env = extract_envelope(audio, 64.0)
-        assert env.rate_hz == 64.0
-        tail = env.samples[len(env) // 5 :]  # skip the filter transient
-        assert np.max(np.abs(tail - amp)) / amp < 0.05
-
-    def test_zero_signal(self):
-        audio = ts(np.zeros(16000), rate=16000)
-        env = extract_envelope(audio, 64.0)
-        np.testing.assert_allclose(env.samples, 0.0)
-
-    def test_am_tone_tracks_modulator(self):
-        # oracle: the known 4 Hz modulator; alignment scans a few samples
-        # to absorb the low-pass group delay
-        fs = 16000
-        t = np.arange(fs * 16) / fs
-        mod = 1.0 + 0.5 * np.sin(2 * np.pi * 4.0 * t)
-        audio = ts(mod * np.sin(2 * np.pi * 1000.0 * t), rate=fs)
-        env = extract_envelope(audio, 64.0)
-        mod64 = mod[:: fs // 64]
-        skip = 64
-        best = -1.0
-        for shift in range(4):
-            a = env.samples[skip + shift : len(env)]
-            b = mod64[skip : len(env) - shift]
-            best = max(best, np.corrcoef(a, b)[0, 1])
-        assert best > 0.95
-
-    def test_nyquist_violation(self):
-        audio = ts(np.ones(100), rate=100.0)
-        with pytest.raises(InvalidRate):
-            extract_envelope(audio, 64.0)
-
-    def test_non_integer_factor(self):
-        audio = ts(np.zeros(1000), rate=1000.0)
-        with pytest.raises(InvalidRate):
-            extract_envelope(audio, 48.0)
-
-    def test_length_and_nonnegativity(self):
-        rng = np.random.default_rng(1)
-        audio = ts(rng.standard_normal(12800), rate=1280.0)
-        env = extract_envelope(audio, 64.0)
-        expected = int(len(audio) * 64.0 / 1280.0)
-        assert abs(len(env) - expected) <= 1
-        assert np.all(env.samples >= 0.0)
-
-    def test_compression_exponent(self):
-        fs = 16000
-        t = np.arange(fs * 2) / fs
-        audio = ts(4.0 * np.sin(2 * np.pi * 1000.0 * t), rate=fs)
-        lin = extract_envelope(audio, 64.0)
-        sq = extract_envelope(audio, 64.0, compression=0.5)
-        np.testing.assert_allclose(sq.samples, np.sqrt(lin.samples), atol=1e-12)
 
 
 def one_channel_design(x, w):
