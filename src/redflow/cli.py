@@ -161,9 +161,10 @@ class RunConfig:
         return EmbedSpec(**self.to_dict()["embed"])
 
     def lag_window(self) -> LagWindow:
-        lo = int(round(self.lag_window_ms[0] * self.rate_hz / 1000.0))
-        hi = int(round(self.lag_window_ms[1] * self.rate_hz / 1000.0))
-        return LagWindow(lo, hi)
+        lags = [ms * self.rate_hz / 1000.0 for ms in self.lag_window_ms]
+        if not np.isfinite(lags).all():
+            raise ConfigError(f"lag_window_ms {list(self.lag_window_ms)} overflows at {self.rate_hz} Hz")
+        return LagWindow(*(round(lag) for lag in lags))
 
     def scenario(self) -> synth.AadScenario:
         return synth.AadScenario(seed=self.seed, **self.to_dict()["scenario"])
@@ -235,8 +236,7 @@ def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
     recording must be sampled at the configured rate."""
     if eeg.rate_hz != config.rate_hz:
         raise DataError(f"recorded at {eeg.rate_hz} Hz, config rate_hz is {config.rate_hz} Hz")
-    eeg = signals.select_channels(eeg, config.channel_subset)
-    return replace(eeg, channels=tuple(signals.normalize(ch) for ch in eeg.channels))
+    return signals.normalize(signals.select_channels(eeg, config.channel_subset))
 
 
 def _stimulus(trial: synth.TrialData, condition: str) -> signals.TimeSeries:
@@ -369,9 +369,7 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
         with _context(where):
             eeg = _prep_eeg(config, trial.eeg)
             valid = signals.lag_valid_slice(eeg.n_samples, window)
-            electrodes = signals.MultichannelRecording(
-                channels=tuple(ch.with_samples(ch.samples[valid]) for ch in eeg.channels)
-            )
+            electrodes = replace(eeg, samples=eeg.samples[:, valid])
         n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
         for condition in conditions:
             dec, _ = decoders[(subject, condition)]
@@ -533,7 +531,8 @@ def _write_trial(data_dir: Path, stamp: dict, trial: synth.TrialData) -> None:
     base = data_dir / trial.subject_id / trial.trial_id
     signals.write_recording(trial.eeg, Path(str(base) + "_eeg.csv"), extra_meta=stamp)
     for condition, suffix in _STIM_SUFFIX.items():
-        rec = signals.MultichannelRecording(channels=(_stimulus(trial, condition),))
+        stim = _stimulus(trial, condition)
+        rec = signals.MultichannelRecording((stim.label,), stim.rate_hz, stim.samples[None])
         signals.write_recording(rec, Path(f"{base}_{suffix}.csv"), extra_meta=stamp)
 
 
@@ -579,7 +578,7 @@ def _load_manifest(data_dir: Path) -> dict:
 def _read_stimulus(path: Path) -> signals.TimeSeries:
     """The one column of a stimulus file."""
     rec = signals.read_recording(path)
-    if len(rec.channels) != 1:
+    if len(rec.labels) != 1:
         raise DataError(f"{path}: a stimulus file holds one column, found {list(rec.labels)}")
     return rec.channels[0]
 

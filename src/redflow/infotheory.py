@@ -172,26 +172,22 @@ def te_blocks(
     return lag_view(source, 0, rows, width)[:, src], target_window[:, present], target_window[:, past]
 
 
-def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
-    """Transfer entropies in bits for ``(i, j)`` index pairs of aligned series.
+def transfer_entropies(x: np.ndarray, pairs, e: EmbedSpec, names) -> np.ndarray:
+    """Transfer entropies in bits for ``(i, j)`` row pairs of a (k, n) array.
 
-    Entry ``p`` is :func:`transfer_entropy` from ``signals[i]`` to
-    ``signals[j]`` for ``pairs[p] == (i, j)``, on the valid rows of
-    :func:`te_blocks`. Each series' lag window is centred once and each Gram
+    Entry ``p`` is :func:`transfer_entropy` from row ``x[i]`` to row
+    ``x[j]`` for ``pairs[p] == (i, j)``, on the valid rows of
+    :func:`te_blocks`. Each row's lag window is centred once and each Gram
     block (a window with itself, or a source window with a target window)
     is formed once. The pairs' blocks are stacked into one batch of block
     Grams, and each covariance is gathered from its block Gram with one
-    fixed index, so its value does not depend on the other series passed.
+    fixed index, so its value does not depend on the other rows passed.
     The checks and factorisations of :func:`_cmi_bits` run batched over the
-    pairs. Raises as :func:`transfer_entropy` does; a
-    ``DegenerateCovariance`` names the first degenerate pair as
-    ``source->target`` using ``names`` (default: labels).
+    pairs. Raises as :func:`transfer_entropy` does, but the caller checks
+    lengths and rates; a ``DegenerateCovariance`` names the first
+    degenerate pair as ``source->target`` by the rows' ``names``.
     """
-    names = [x.label for x in signals] if names is None else names
-    n = len(signals[0])
-    for name, x in zip(names, signals):
-        if len(x) != n or x.rate_hz != signals[0].rate_hz:
-            raise ShapeMismatch(f"{name} differs from {names[0]} in length or rate")
+    n = x.shape[1]
     sh = e.source_history
     dim = sh + e.target_history + 1
     min_len = sh + e.target_history + e.delay + dim + 2
@@ -205,10 +201,10 @@ def transfer_entropies(signals, pairs, e: EmbedSpec, names=None) -> np.ndarray:
     order = np.r_[cols[past], width + cols[src], cols[present]]
     gather = np.ix_(order, order)
     rows = n - width + 1
-    windows = np.empty((len(signals), width, rows))
+    windows = np.empty((x.shape[0], width, rows))
     for i in {i for pair in pairs for i in pair}:
         # the transposed lag window: row c is window column c over all rows
-        window = lag_view(signals[i].samples, 0, width, rows)
+        window = lag_view(x[i], 0, width, rows)
         np.subtract(window, window.mean(axis=1, keepdims=True), out=windows[i])
     needed = {ab for i, j in pairs for ab in ((i, i), (i, j), (j, j))}
     grams = {(a, b): windows[a] @ windows[b].T for a, b in needed}
@@ -239,7 +235,10 @@ def transfer_entropy(source: TimeSeries, target: TimeSeries, e: EmbedSpec) -> fl
     DegenerateCovariance
         If the covariance is not finite or numerically rank-deficient.
     """
-    return float(transfer_entropies((source, target), [(0, 1)], e)[0])
+    if len(source) != len(target) or source.rate_hz != target.rate_hz:
+        raise ShapeMismatch(f"{target.label} differs from {source.label} in length or rate")
+    x = np.vstack((source.samples, target.samples))
+    return float(transfer_entropies(x, [(0, 1)], e, (source.label, target.label))[0])
 
 
 def plug_in_bias(n_samples: int, dim_x: int, dim_y: int = 1) -> float:

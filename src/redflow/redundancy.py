@@ -49,10 +49,12 @@ def directed_redundancy_bound(
     one transfer-entropy kernel call; a channel tie breaks to the earliest
     channel. A degenerate transfer entropy is named as ``S->Shat``,
     ``<channel>->Shat`` or ``S-><channel>``."""
-    k = len(electrodes.channels)
+    if {len(s), len(shat)} != {electrodes.n_samples} or {s.rate_hz, shat.rate_hz} != {electrodes.rate_hz}:
+        raise ShapeMismatch("S and Shat must match the electrodes in length and rate")
+    k = len(electrodes.labels)
     pairs = [(0, 1), *((c, 1) for c in range(2, k + 2)), *((0, c) for c in range(2, k + 2))]
-    signals = (s, shat, *electrodes.channels)
-    tes = transfer_entropies(signals, pairs, e, ("S", "Shat", *electrodes.labels)).tolist()
+    x = np.vstack((s.samples, shat.samples, electrodes.samples))
+    tes = transfer_entropies(x, pairs, e, ("S", "Shat", *electrodes.labels)).tolist()
     into_shat, from_s = tes[1 : k + 1], tes[k + 1 :]
     es, se = int(np.argmin(into_shat)), int(np.argmin(from_s))  # the first minimizers
     return RateBundle(

@@ -1,10 +1,11 @@
 """Time-series containers and the signal transforms shared by the pipeline.
 
 Everything downstream (decoding, information rates, reports) consumes the
-types defined here: a single named channel (:class:`TimeSeries`), an aligned
-set of channels for one trial (:class:`MultichannelRecording`), and a lag
-range (:class:`LagWindow`). All values are immutable after construction and
-safe for concurrent read-only use.
+types defined here: a single named channel (:class:`TimeSeries`), the
+channels of one trial as one read-only (channels x samples) array
+(:class:`MultichannelRecording`), and a lag range (:class:`LagWindow`).
+All values are immutable after construction and safe for concurrent
+read-only use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,10 @@ from .errors import (
 LEFT_TEMPORAL_LABELS = ("FT7", "T7", "TP7", "CP5", "FC5", "C5")
 
 
-def _as_samples(values) -> np.ndarray:
+def _as_samples(values, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"samples must be 1-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ShapeMismatch(f"samples must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ShapeMismatch("samples must be finite (no NaN/Inf)")
     arr = arr.copy()
@@ -90,54 +91,58 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class MultichannelRecording:
-    """Aligned set of channels for one trial.
-
-    All channels must share the sampling rate and length, and labels must be
-    unique. A recording holds only its channels; which subject, trial and
-    stimulus it belongs to is the caller's to keep.
+    """Aligned channels of one trial: ``samples`` is a read-only float64
+    (n_channels, n_samples) array whose row c is the channel ``labels[c]``,
+    all sampled at ``rate_hz`` > 0. Labels must be unique. A recording
+    holds only its channels; which subject, trial and stimulus it belongs
+    to is the caller's to keep.
     """
 
-    channels: tuple
+    labels: tuple
+    rate_hz: float
+    samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if not self.channels:
+        if self.rate_hz <= 0:
+            raise InvalidRate(f"rate_hz must be > 0, got {self.rate_hz}")
+        samples = _as_samples(self.samples, ndim=2)
+        labels = tuple(self.labels)
+        if len(labels) != samples.shape[0]:
+            raise ShapeMismatch(f"{len(labels)} labels for {samples.shape[0]} channel rows")
+        if not labels:
             raise ShapeMismatch("recording needs at least one channel")
-        rate = self.channels[0].rate_hz
-        n = len(self.channels[0])
-        for ch in self.channels:
-            if ch.rate_hz != rate or len(ch) != n:
-                raise ShapeMismatch(
-                    f"channel {ch.label!r} does not match rate/length of the first channel"
-                )
-        labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
-            raise ShapeMismatch(f"channel labels must be unique, got {labels}")
+            raise ShapeMismatch(f"channel labels must be unique, got {list(labels)}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "samples", samples)
+
+    def __reduce__(self):
+        # unpickling re-runs the constructor: its checks and read-only copy
+        return MultichannelRecording, (self.labels, self.rate_hz, self.samples)
 
     @property
-    def labels(self) -> tuple:
-        return tuple(ch.label for ch in self.channels)
-
-    @property
-    def rate_hz(self) -> float:
-        return self.channels[0].rate_hz
+    def channels(self) -> tuple:
+        """Each row as a :class:`TimeSeries`, built on each access."""
+        return tuple(TimeSeries(lab, self.rate_hz, row) for lab, row in zip(self.labels, self.samples))
 
     @property
     def n_samples(self) -> int:
-        return len(self.channels[0])
+        return self.samples.shape[1]
 
     def channel(self, label: str) -> TimeSeries:
-        for ch in self.channels:
-            if ch.label == label:
-                return ch
-        raise UnknownChannel(label)
+        return select_channels(self, (label,)).channels[0]
 
     def to_array(self) -> np.ndarray:
-        """Samples as an (n_samples, n_channels) array, channel order preserved."""
-        return np.column_stack([ch.samples for ch in self.channels])
+        """A fresh C-ordered (n_samples, n_channels) copy, channel order preserved."""
+        return self.samples.T.copy()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultichannelRecording) and self.channels == other.channels
+        return (
+            isinstance(other, MultichannelRecording)
+            and self.labels == other.labels
+            and self.rate_hz == other.rate_hz
+            and np.array_equal(self.samples, other.samples)
+        )
 
 
 @dataclass(frozen=True)
@@ -158,25 +163,29 @@ class LagWindow:
         return self.tau_max - self.tau_min + 1
 
 
-def normalize(x: TimeSeries) -> TimeSeries:
-    """Shift and scale to zero mean and unit population variance.
+def normalize(x: TimeSeries | MultichannelRecording):
+    """Shift and scale a :class:`TimeSeries`, or each channel of a
+    :class:`MultichannelRecording`, to zero mean and unit population variance.
 
     The population convention (divide by n) is used so that for two
     normalized series a, b the identity mean((a-b)^2)/2 == 1 - pearson(a, b)
-    holds exactly.
+    holds exactly. A recording's channel comes out bit-identical to it
+    normalized alone: both reduce along the last (contiguous) axis.
 
     Raises
     ------
     ZeroVarianceSignal
-        If the input is constant.
+        If the input, or a channel of it, is constant.
     """
-    if len(x) < 2:
+    if x.samples.shape[-1] < 2:
         raise ShapeMismatch("normalize needs at least 2 samples")
-    mu = float(np.mean(x.samples))
-    var = float(np.mean((x.samples - mu) ** 2))
-    if var <= 0.0:
-        raise ZeroVarianceSignal(f"signal {x.label!r} is constant")
-    return x.with_samples((x.samples - mu) / np.sqrt(var))
+    mu = np.mean(x.samples, axis=-1, keepdims=True)
+    var = np.mean((x.samples - mu) ** 2, axis=-1, keepdims=True)
+    constant = (var <= 0.0).reshape(-1)
+    if constant.any():
+        labels = x.labels if isinstance(x, MultichannelRecording) else (x.label,)
+        raise ZeroVarianceSignal(f"signal {labels[int(np.argmax(constant))]!r} is constant")
+    return replace(x, samples=(x.samples - mu) / np.sqrt(var))
 
 
 def lag_valid_slice(n: int, w: LagWindow) -> slice:
@@ -206,13 +215,11 @@ def select_channels(r: MultichannelRecording, labels) -> MultichannelRecording:
     UnknownChannel
         Naming the first requested label that is absent.
     """
-    by_label = {ch.label: ch for ch in r.channels}
-    picked = []
+    labels = tuple(labels)
     for lab in labels:
-        if lab not in by_label:
+        if lab not in r.labels:
             raise UnknownChannel(lab)
-        picked.append(by_label[lab])
-    return MultichannelRecording(channels=tuple(picked))
+    return replace(r, labels=labels, samples=r.samples[[r.labels.index(lab) for lab in labels]])
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,6 @@ def read_recording(csv_path) -> MultichannelRecording:
             f"{csv_path}: ragged rows ({values.shape[1]} columns, header has {len(header)})"
         )
     try:
-        return MultichannelRecording(channels=tuple(
-            TimeSeries(lab, rate, values[:, j]) for j, lab in enumerate(labels, start=1)
-        ))
+        return MultichannelRecording(labels, rate, values[:, 1:].T)
     except RedflowError as exc:
         raise DataError(f"{csv_path}: {exc}") from exc

@@ -182,11 +182,7 @@ def simulate(model: VarModel, n: int, seed: int, rate_hz: float = 1.0) -> Multic
     for t in range(burn + n):
         state = a @ state + noise[t]
         out[t] = state
-    out = out[burn:]
-    channels = tuple(
-        TimeSeries(lab, rate_hz, out[:, i]) for i, lab in enumerate(model.labels)
-    )
-    return MultichannelRecording(channels=channels)
+    return MultichannelRecording(model.labels, rate_hz, out[burn:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +367,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
                     trial_id=f"t{tr + 1:03d}",
                     attended=TimeSeries("attended_envelope", rate_hz, attended),
                     distractor=TimeSeries("distractor_envelope", rate_hz, distractor),
-                    eeg=MultichannelRecording(channels=tuple(
-                        TimeSeries(label, rate_hz, x[_SCENARIO_BURN:])
-                        for label, x in zip(labels, drive[i])
-                    )),
+                    eeg=MultichannelRecording(labels, rate_hz, drive[i, :, _SCENARIO_BURN:]),
                 )
             )
     return trials

@@ -121,9 +121,7 @@ def test_05_decoder_recovery_and_shrinkage():
     rng = np.random.default_rng(42)
     n, window = 10_000, LagWindow(0, 16)
     rec = MultichannelRecording(
-        channels=tuple(
-            TimeSeries(f"c{i}", 64.0, rng.standard_normal(n)) for i in range(3)
-        )
+        ("c0", "c1", "c2"), 64.0, [rng.standard_normal(n) for _ in range(3)]
     )
     g_true = 0.1 * rng.standard_normal((window.n_lags, 3))
     design = decoder.build_design(rec, window)

@@ -194,6 +194,8 @@ class TestConfig:
             {"kde_level": float("nan")},
             {"rate_hz": 0},
             {"bin_width_bits": 0.005, "bin_stride_bits": 0.02},
+            {"lag_window_ms": [0, 1e308]},
+            {"rate_hz": 1e308},
         ],
         ids=repr,
     )
@@ -699,6 +701,10 @@ class TestPipelineVariants:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"lambda_grid": []}))
         assert main(["simulate", "--config", str(path), "--data", str(tmp_path / "d")]) == 2
+        capsys.readouterr()
+        path.write_text(json.dumps({"lag_window_ms": [0, 1e308]}))
+        assert main(["simulate", "--config", str(path), "--data", str(tmp_path / "d")]) == 2
+        assert "lag_window_ms" in capsys.readouterr().err
         (tmp_path / "broken.json").write_text("{bad")
         for name in ("missing.json", "broken.json"):
             capsys.readouterr()
@@ -759,7 +765,7 @@ class TestPipelineVariants:
         # generative snr fixes the reachable correlation at sqrt(snr/(1+snr))
         from redflow import decoder as dec_mod
         from redflow import signals as sig_mod
-        from redflow.signals import LagWindow, MultichannelRecording, TimeSeries, lag_valid_slice
+        from redflow.signals import LagWindow, MultichannelRecording, lag_valid_slice
 
         rng = np.random.default_rng(123)
         n, snr, window = 2000, 4.0, LagWindow(0, 8)
@@ -769,10 +775,7 @@ class TestPipelineVariants:
         for subject in ("s01", "s02"):
             (data / subject).mkdir(parents=True)
             for t in range(1, 5):
-                chans = tuple(
-                    TimeSeries(lab, 64.0, rng.standard_normal(n)) for lab in labels
-                )
-                eeg = MultichannelRecording(channels=chans)
+                eeg = MultichannelRecording(labels, 64.0, [rng.standard_normal(n) for _ in labels])
                 design = dec_mod.build_design(eeg, window)
                 signal = design @ g_true
                 noise_sd = float(np.std(signal)) / np.sqrt(snr)
@@ -783,7 +786,7 @@ class TestPipelineVariants:
                 base = data / subject / f"t{t:03d}"
                 sig_mod.write_recording(eeg, Path(str(base) + "_eeg.csv"))
                 for suffix in ("att", "dst"):
-                    rec = MultichannelRecording(channels=(TimeSeries("envelope", 64.0, stim),))
+                    rec = MultichannelRecording(("envelope",), 64.0, [stim])
                     sig_mod.write_recording(rec, Path(str(base) + f"_{suffix}.csv"))
         (data / "manifest.json").write_text(json.dumps({
             "schema_version": 1, "config_hash": "planted", "seed": 0,

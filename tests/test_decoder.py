@@ -34,9 +34,7 @@ def ts(values, rate=64.0, label="x"):
 
 def recording(arrays, rate=64.0, labels=None):
     labels = labels or [f"c{i}" for i in range(len(arrays))]
-    return MultichannelRecording(
-        channels=tuple(ts(a, rate=rate, label=lab) for a, lab in zip(arrays, labels))
-    )
+    return MultichannelRecording(labels, rate, arrays)
 
 
 def planted_trial(rng, n, n_channels=3, window=LagWindow(0, 16), scale=0.1, snr=10.0):
@@ -196,7 +194,7 @@ class TestReconstruct:
         rng = np.random.default_rng(0)
         rec = recording([rng.standard_normal(50), rng.standard_normal(50)], labels=["a", "b"])
         d = train(rec, ts(rng.standard_normal(50), label="s"), LagWindow(0, 1), 1.0)
-        swapped = MultichannelRecording(channels=(rec.channels[1], rec.channels[0]))
+        swapped = MultichannelRecording(rec.labels[::-1], rec.rate_hz, rec.samples[::-1])
         with pytest.raises(ChannelOrderMismatch):
             reconstruct(d, swapped)
 

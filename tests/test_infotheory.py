@@ -141,7 +141,7 @@ class TestEmbedSpec:
             np.testing.assert_array_equal(c[i], tgt[[t - 3, t - 2, t - 1]])
             assert y[i, 0] == tgt[t]
         # cross-check the source block against the decoder's lag-design truncation
-        emb = build_design(MultichannelRecording(channels=(ts(src),)), LagWindow(-3, -2))
+        emb = build_design(MultichannelRecording(("x",), 64.0, [src]), LagWindow(-3, -2))
         np.testing.assert_array_equal(x, emb[t0 - 3 :])
 
 
@@ -243,45 +243,46 @@ class TestTransferEntropiesKernel:
             n = int(rng.choice([150, 1_000, 6_000]))
             rec = simulate(self.MODEL, n, seed=trial, rate_hz=64.0)
             pairs = [(0, 1), (1, 0), (1, 2), (0, 2)]
-            kernel = transfer_entropies(rec.channels, pairs, e)
+            kernel = transfer_entropies(rec.samples, pairs, e, rec.labels)
             for value, (i, j) in zip(kernel, pairs):
-                x, y, c = te_blocks(rec.channels[i].samples, rec.channels[j].samples, e)
+                x, y, c = te_blocks(rec.samples[i], rec.samples[j], e)
                 assert abs(value - gaussian_cmi(x, y, c)) <= 1e-12, (e, n, i, j)
 
     def test_k_pair_call_equals_one_pair_calls(self):
         rec = simulate(self.MODEL, 3_000, seed=21, rate_hz=64.0)
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         for e in (EmbedSpec(3, 5, 2), EmbedSpec(6, 2, 4), EmbedSpec(1, 1, 1)):
-            many = transfer_entropies(rec.channels, pairs, e)
+            many = transfer_entropies(rec.samples, pairs, e, rec.labels)
             one = [transfer_entropy(rec.channels[i], rec.channels[j], e) for i, j in pairs]
             assert many.tolist() == one
 
     def test_degenerate_pair_is_named(self):
         rec = simulate(self.MODEL, 2_000, seed=23, rate_hz=64.0)
-        a, b, _ = rec.channels
-        copy = a.with_samples(a.samples, label="copy")
+        a, b, _ = rec.samples
         e = EmbedSpec(2, 2, 1)
         with pytest.raises(DegenerateCovariance, match="a->copy"):
-            transfer_entropies((a, b, copy), [(0, 1), (0, 2)], e)
+            transfer_entropies(np.vstack((a, b, a)), [(0, 1), (0, 2)], e, ("a", "b", "copy"))
         with pytest.raises(DegenerateCovariance, match="S->C"):
-            transfer_entropies((a, copy), [(0, 1)], e, names=("S", "C"))
+            transfer_entropies(np.vstack((a, a)), [(0, 1)], e, ("S", "C"))
 
     def test_overflowing_pair_is_named(self):
         rec = simulate(self.MODEL, 2_000, seed=25, rate_hz=64.0)
-        a, b, _ = rec.channels
-        huge = b.with_samples(b.samples * 1e200, label="huge")
+        a, b, _ = rec.samples
+        x = np.vstack((a, b, b * 1e200))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DegenerateCovariance, match="TE a->huge is not finite"
         ):
-            transfer_entropies((a, b, huge), [(0, 1), (0, 2)], EmbedSpec(2, 2, 1))
+            transfer_entropies(x, [(0, 1), (0, 2)], EmbedSpec(2, 2, 1), ("a", "b", "huge"))
 
     def test_length_mismatch_and_short_series(self):
         rng = np.random.default_rng(24)
         e = EmbedSpec(2, 2, 1)
         with pytest.raises(ShapeMismatch):
-            transfer_entropies((ts(rng.standard_normal(50)), ts(rng.standard_normal(60))), [(0, 1)], e)
+            transfer_entropy(ts(rng.standard_normal(50)), ts(rng.standard_normal(60)), e)
+        with pytest.raises(ShapeMismatch):
+            transfer_entropy(ts(rng.standard_normal(50)), TimeSeries("y", 128.0, rng.standard_normal(50)), e)
         with pytest.raises(SeriesTooShort):
-            transfer_entropies((ts(rng.standard_normal(12)), ts(rng.standard_normal(12))), [(0, 1)], e)
+            transfer_entropies(rng.standard_normal((2, 12)), [(0, 1)], e, ("x", "y"))
 
 
 class TestClosedFormAccuracy:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from redflow.cli import main
-from redflow.errors import DegenerateCovariance
+from redflow.errors import DegenerateCovariance, ShapeMismatch
 from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
 from redflow.redundancy import RateBundle, directed_redundancy_bound
 from redflow.signals import MultichannelRecording, TimeSeries
@@ -67,14 +67,14 @@ def s_to_e(drv, rec, seed):
 
 def s_to_shat(s, shat, seed):
     """S->Shat rate of the bundle, with one white-noise channel."""
-    rec = MultichannelRecording(channels=(white(len(s), 1000 + seed, "e"),))
+    rec = MultichannelRecording(("e",), 64.0, [white(len(s), 1000 + seed, "e").samples])
     return directed_redundancy_bound(s, rec, shat, EMBED).r_s_to_shat
 
 
 class TestChannelMinima:
     def test_singleton_channel(self):
         drv, tgt = driver_target_pair(0)
-        rec = MultichannelRecording(channels=(drv,))
+        rec = MultichannelRecording(("drv",), 64.0, [drv.samples])
         value, label = e_to_shat(rec, tgt, 0)
         assert value == transfer_entropy(drv, tgt, EMBED)
         assert label == "drv"
@@ -83,17 +83,14 @@ class TestChannelMinima:
         drv, tgt = driver_target_pair(1)
         rng = np.random.default_rng(1)
         noise = ts(rng.standard_normal(N), label="noise")
-        rec = MultichannelRecording(channels=(drv.with_samples(drv.samples, label="drv"), noise))
+        rec = MultichannelRecording(("drv", "noise"), 64.0, [drv.samples, noise.samples])
         value, label = e_to_shat(rec, tgt, 1)
         assert label == "noise"
         assert value <= 10 * plug_in_bias(N, EMBED.source_history) + 1e-4
 
     def test_duplicate_channels_tie_break_first(self):
         drv, tgt = driver_target_pair(2)
-        rec = MultichannelRecording(
-            channels=(drv.with_samples(drv.samples, label="first"),
-                      drv.with_samples(drv.samples, label="second"))
-        )
+        rec = MultichannelRecording(("first", "second"), 64.0, [drv.samples, drv.samples])
         value, label = e_to_shat(rec, tgt, 2)
         assert label == "first"
 
@@ -101,17 +98,14 @@ class TestChannelMinima:
         drv, tgt = driver_target_pair(3)
         rng = np.random.default_rng(3)
         noise = ts(rng.standard_normal(N), label="noise")
-        rec = MultichannelRecording(channels=(tgt.with_samples(tgt.samples, label="driven"), noise))
+        rec = MultichannelRecording(("driven", "noise"), 64.0, [tgt.samples, noise.samples])
         value, label = s_to_e(drv, rec, 3)
         assert label == "noise"
         assert value <= 10 * plug_in_bias(N, EMBED.source_history) + 1e-4
-        single = MultichannelRecording(channels=(tgt,))
+        single = MultichannelRecording(("tgt",), 64.0, [tgt.samples])
         v1, l1 = s_to_e(drv, single, 3)
         assert v1 == transfer_entropy(drv, tgt, EMBED)
-        duplicated = MultichannelRecording(
-            channels=(tgt.with_samples(tgt.samples, label="first"),
-                      tgt.with_samples(tgt.samples, label="second"))
-        )
+        duplicated = MultichannelRecording(("first", "second"), 64.0, [tgt.samples, tgt.samples])
         _, tie_label = s_to_e(drv, duplicated, 3)
         assert tie_label == "first"
 
@@ -119,8 +113,8 @@ class TestChannelMinima:
         drv, tgt = driver_target_pair(4)
         rng = np.random.default_rng(4)
         other = ts(rng.standard_normal(N), label="b")
-        rec_ab = MultichannelRecording(channels=(drv.with_samples(drv.samples, label="a"), other))
-        rec_ba = MultichannelRecording(channels=(other, drv.with_samples(drv.samples, label="a")))
+        rec_ab = MultichannelRecording(("a", "b"), 64.0, [drv.samples, other.samples])
+        rec_ba = MultichannelRecording(("b", "a"), 64.0, [other.samples, drv.samples])
         v_ab, _ = e_to_shat(rec_ab, tgt, 4)
         v_ba, _ = e_to_shat(rec_ba, tgt, 4)
         assert v_ab == v_ba
@@ -128,17 +122,12 @@ class TestChannelMinima:
     def test_dropping_a_channel_cannot_decrease_minimum(self):
         drv, tgt = driver_target_pair(5)
         rng = np.random.default_rng(5)
-        chans = (
-            drv.with_samples(drv.samples, label="a"),
-            ts(rng.standard_normal(N), label="b"),
-            ts(rng.standard_normal(N), label="c"),
-        )
-        full = MultichannelRecording(channels=chans)
+        chans = [drv.samples, rng.standard_normal(N), rng.standard_normal(N)]
+        full = MultichannelRecording(("a", "b", "c"), 64.0, chans)
         v_full, _ = e_to_shat(full, tgt, 5)
         for drop in range(3):
-            subset = MultichannelRecording(
-                channels=tuple(c for i, c in enumerate(chans) if i != drop)
-            )
+            keep = [i for i in range(3) if i != drop]
+            subset = MultichannelRecording([full.labels[i] for i in keep], 64.0, full.samples[keep])
             v_sub, _ = e_to_shat(subset, tgt, 5)
             assert v_sub >= v_full
 
@@ -183,7 +172,7 @@ class TestDirectedRedundancyBound:
         model = VarModel(transition=a, noise_cov=np.eye(4), labels=("phi", "x", "y", "z"))
         rec = simulate(model, n, seed=seed, rate_hz=64.0)
         s = rec.channels[0]
-        electrodes = MultichannelRecording(channels=rec.channels[1:3])
+        electrodes = MultichannelRecording(rec.labels[1:3], rec.rate_hz, rec.samples[1:3])
         shat = rec.channels[3]
         return s, electrodes, shat
 
@@ -206,6 +195,15 @@ class TestDirectedRedundancyBound:
             if strong.r_min > weak.r_min:
                 wins += 1
         assert wins >= int(0.95 * seeds)
+
+    def test_series_must_match_the_electrodes(self):
+        s, electrodes, shat = self._system(10, n=2_000)
+        short = s.with_samples(s.samples[:-1])
+        fast = TimeSeries(shat.label, 128.0, shat.samples)
+        with pytest.raises(ShapeMismatch, match="length and rate"):
+            directed_redundancy_bound(short, electrodes, shat, EMBED)
+        with pytest.raises(ShapeMismatch, match="length and rate"):
+            directed_redundancy_bound(s, electrodes, fast, EMBED)
 
 
 class TestBundleKernel:
@@ -233,9 +231,7 @@ class TestBundleKernel:
         x, y = electrodes.channels
         for chans in ((x, x), (x, y, x), (y, x, x)):
             labels = tuple(f"c{i}" for i in range(len(chans)))
-            rec = MultichannelRecording(
-                channels=tuple(c.with_samples(c.samples, label=lab) for c, lab in zip(chans, labels))
-            )
+            rec = MultichannelRecording(labels, 64.0, [c.samples for c in chans])
             b = directed_redundancy_bound(s, rec, shat, EMBED)
             into_shat = [transfer_entropy(c, shat, EMBED) for c in rec.channels]
             from_s = [transfer_entropy(s, c, EMBED) for c in rec.channels]

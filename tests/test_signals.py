@@ -71,14 +71,48 @@ class TestTimeSeries:
 class TestRecording:
     def test_unique_labels_required(self):
         with pytest.raises(ShapeMismatch):
-            MultichannelRecording(channels=(ts([1, 2]), ts([3, 4])))
+            MultichannelRecording(("x", "x"), 64.0, [[1, 2], [3, 4]])
 
-    def test_equal_lengths_required(self):
+    @pytest.mark.parametrize(
+        "labels, rate, samples, error",
+        [
+            (("a", "b"), 64.0, [[1.0, np.nan], [3.0, 4.0]], ShapeMismatch),
+            (("a", "b"), 64.0, [[1.0, 2.0], [-np.inf, 4.0]], ShapeMismatch),
+            (("a",), 64.0, [1.0, 2.0], ShapeMismatch),
+            (("a",), 64.0, [[1.0, 2.0], [3.0, 4.0]], ShapeMismatch),
+            (("a", "b", "c"), 64.0, [[1.0, 2.0], [3.0, 4.0]], ShapeMismatch),
+            ((), 64.0, np.zeros((0, 2)), ShapeMismatch),
+            (("a",), 0.0, [[1.0, 2.0]], InvalidRate),
+            (("a",), -64.0, [[1.0, 2.0]], InvalidRate),
+        ],
+        ids=["nan", "inf", "1-D", "fewer-labels", "more-labels", "no-rows", "zero-rate", "negative-rate"],
+    )
+    def test_malformed_recording_refused(self, labels, rate, samples, error):
+        with pytest.raises(error):
+            MultichannelRecording(labels, rate, samples)
+
+    def test_samples_are_a_read_only_copy(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        r = MultichannelRecording(("a", "b"), 64.0, values)
+        values[0, 0] = 9.0
+        assert r.samples[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            r.samples[0, 0] = 5.0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        r = MultichannelRecording(("a", "b"), 64.0, [[1.0, 2.0], [3.0, 4.0]])
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r
+        assert not back.samples.flags.writeable
+        with pytest.raises(ValueError):
+            back.samples[0, 0] = 5.0
+        # unpickling re-runs the constructor's checks
+        object.__setattr__(r, "labels", ("a", "a"))
         with pytest.raises(ShapeMismatch):
-            MultichannelRecording(channels=(ts([1, 2], label="a"), ts([3, 4, 5], label="b")))
+            pickle.loads(pickle.dumps(r))
 
     def test_to_array_order(self):
-        r = MultichannelRecording(channels=(ts([1, 2], label="a"), ts([3, 4], label="b")))
+        r = MultichannelRecording(("a", "b"), 64.0, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(r.to_array(), [[1, 3], [2, 4]])
 
 
@@ -101,6 +135,8 @@ class TestNormalize:
     def test_constant_raises(self):
         with pytest.raises(ZeroVarianceSignal):
             normalize(ts([5.0, 5.0, 5.0]))
+        with pytest.raises(ZeroVarianceSignal, match="'b'"):
+            normalize(MultichannelRecording(("a", "b"), 64.0, [[1.0, 2.0, 4.0], [5.0, 5.0, 5.0]]))
 
     def test_metadata_preserved(self):
         out = normalize(TimeSeries("env", 128.0, [0.0, 1.0, 4.0]))
@@ -115,10 +151,32 @@ class TestNormalize:
             assert abs(np.mean(out.samples)) < 1e-12
             assert abs(np.mean(out.samples**2) - 1.0) < 1e-9
 
+    def test_recording_equals_per_channel_normalize(self):
+        """Each row of a normalized recording is bit for bit its channel
+        normalized on its own, because both reduce along a contiguous axis.
+        Means over axis 0 of the (n_samples, n_channels) layout are summed
+        in another order and differ in the last bit, so a recording keeps
+        channels as rows. ``to_array`` still hands the decoder a fresh
+        C-ordered (n_samples, n_channels) copy, so its products are summed
+        in the same order as from stacked columns."""
+        rng = np.random.default_rng(12)
+        for n_channels, n in ((1, 2), (3, 7), (6, 3200)):
+            offsets = rng.uniform(-50, 50, (n_channels, 1))
+            scales = rng.uniform(0.01, 100, (n_channels, 1))
+            values = offsets + scales * rng.standard_normal((n_channels, n))
+            r = MultichannelRecording([f"c{i}" for i in range(n_channels)], 64.0, values)
+            out = normalize(r)
+            assert out.labels == r.labels and out.rate_hz == r.rate_hz
+            for row, ch in zip(out.samples, r.channels):
+                assert np.array_equal(row, normalize(ch).samples)
+            arr = out.to_array()
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert np.array_equal(arr, np.column_stack([ch.samples for ch in out.channels]))
+
 
 def one_channel_design(x, w):
     """Lagged design of one series: ``build_design`` on a one-channel recording."""
-    return build_design(MultichannelRecording(channels=(x,)), w)
+    return build_design(MultichannelRecording((x.label,), x.rate_hz, [x.samples]), w)
 
 
 class TestLagEmbed:
@@ -173,8 +231,7 @@ class TestSelectChannels:
     def _recording(self, n_channels=64, n=16):
         rng = np.random.default_rng(7)
         labels = list(LEFT_TEMPORAL_LABELS) + [f"E{i:02d}" for i in range(n_channels - 6)]
-        chans = tuple(ts(rng.standard_normal(n), label=lab) for lab in labels)
-        return MultichannelRecording(channels=chans)
+        return MultichannelRecording(labels, 64.0, [rng.standard_normal(n) for _ in labels])
 
     def test_left_temporal_subset(self):
         r = self._recording()
@@ -202,9 +259,7 @@ SIDECAR = '{"subject_id": "s", "trial_id": "t", "condition": "unlabeled", "rate_
 class TestRecordingFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        r = MultichannelRecording(
-            channels=(ts(rng.standard_normal(50), label="a"), ts(rng.standard_normal(50), label="b")),
-        )
+        r = MultichannelRecording(("a", "b"), 64.0, [rng.standard_normal(50), rng.standard_normal(50)])
         path = tmp_path / "rec.csv"
         write_recording(r, path)
         back = read_recording(path)
@@ -231,9 +286,7 @@ class TestRecordingFiles:
         # reference: the row-by-row csv.writer layout (CRLF rows, minimal quoting)
         rng = np.random.default_rng(8)
         labels = ("a", 'needs "quoting", here')
-        r = MultichannelRecording(
-            channels=tuple(ts(rng.standard_normal(40) * 1e3, label=lab) for lab in labels)
-        )
+        r = MultichannelRecording(labels, 64.0, [rng.standard_normal(40) * 1e3 for _ in labels])
         path = tmp_path / "rec.csv"
         write_recording(r, path)
         ref = tmp_path / "ref.csv"
@@ -257,9 +310,7 @@ class TestRecordingFiles:
         rng = np.random.default_rng(11)
         shapes = [(3200, 64.0), (700, 100.0), (500, 3.7)] * 2 + [(700, 64.0), (3200, 64.0)]
         for k, (n, rate) in enumerate(shapes):
-            r = MultichannelRecording(channels=tuple(
-                ts(rng.standard_normal(n), rate=rate, label=lab) for lab in ("a", "b")
-            ))
+            r = MultichannelRecording(("a", "b"), rate, [rng.standard_normal(n) for _ in range(2)])
             path = tmp_path / f"rec{k}.csv"
             write_recording(r, path)
             rows = np.column_stack([np.arange(n) / rate] + [ch.samples for ch in r.channels])
@@ -270,7 +321,7 @@ class TestRecordingFiles:
         values = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308,
                   0.1 + 0.2, 1 / 3]
         values += [-v for v in values]
-        r = MultichannelRecording(channels=(ts(values, label="v"),))
+        r = MultichannelRecording(("v",), 64.0, [values])
         path = tmp_path / "rec.csv"
         write_recording(r, path)
         back = read_recording(path).channel("v").samples
