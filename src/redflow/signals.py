@@ -55,7 +55,7 @@ class TimeSeries:
     label : str
         Channel or signal name.
     rate_hz : float
-        Sampling rate in samples per second, > 0.
+        Sampling rate in samples per second, finite and > 0.
     samples : array_like
         Finite real values; stored as a read-only float64 array.
     """
@@ -65,8 +65,8 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise InvalidRate(f"rate_hz must be > 0, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise InvalidRate(f"rate_hz must be a finite number > 0, got {self.rate_hz}")
         object.__setattr__(self, "samples", _as_samples(self.samples))
 
     def __reduce__(self):
@@ -93,7 +93,7 @@ class TimeSeries:
 class MultichannelRecording:
     """Aligned channels of one trial: ``samples`` is a read-only float64
     (n_channels, n_samples) array whose row c is the channel ``labels[c]``,
-    all sampled at ``rate_hz`` > 0. Labels must be unique. A recording
+    all sampled at a finite ``rate_hz`` > 0. Labels must be unique. A recording
     holds only its channels; which subject, trial and stimulus it belongs
     to is the caller's to keep.
     """
@@ -103,8 +103,8 @@ class MultichannelRecording:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise InvalidRate(f"rate_hz must be > 0, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise InvalidRate(f"rate_hz must be a finite number > 0, got {self.rate_hz}")
         samples = _as_samples(self.samples, ndim=2)
         labels = tuple(self.labels)
         if len(labels) != samples.shape[0]:
@@ -276,14 +276,13 @@ def write_recording(r: MultichannelRecording, csv_path, extra_meta: dict | None 
     """
     csv_path = Path(csv_path)
     times = _time_column(r.n_samples, r.rate_hz)
+    columns = [map(repr, channel) for channel in r.samples.tolist()]
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerow(["t", *r.labels])
         # repr of a finite float never needs CSV quoting and round-trips exactly;
-        # "\r\n" is csv.writer's line terminator.
-        fh.writelines(
-            t + "," + ",".join(map(repr, row)) + "\r\n"
-            for t, row in zip(times, r.to_array().tolist())
-        )
+        # "\r\n" is csv.writer's line terminator. Rows are zipped from the
+        # columns' repr passes in C; the final "" ends the last row, if any.
+        fh.write("\r\n".join([*map(",".join, zip(times, *columns)), ""]))
     write_json(csv_path.with_suffix(".json"), {**(extra_meta or {}), "rate_hz": r.rate_hz})
 
 

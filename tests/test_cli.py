@@ -1,5 +1,6 @@
 """Configuration handling and the file-backed pipeline stages."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -412,6 +413,38 @@ class TestPipeline:
         code = main(["rates", "--config", str(cfg_path), "--data", str(data), "--out", str(out)])
         assert code == 0
         assert strip_timestamp(out / "rates.ndjson") == before
+
+
+#: SHA-256 of every file ``simulate`` writes for PINNED_CONFIG, recorded
+#: before the CSV writer went from a row loop to column-wise repr passes. The
+#: bytes are the file format: a writer change may not move one unnoticed.
+PINNED_CONFIG = {"seed": 0, "scenario": {"n_subjects": 1, "n_trials": 2, "n_samples": 200}}
+PINNED_SHA256 = {
+    "manifest.json": "01e91261d334b74cc991d5098e3c7e940ddb25e78e800300690a10106b62b754",
+    "s01/t001_att.csv": "ce768ee01aeaad50d7b268dc38b2d60f2065070bf78c8eaa00acb6a86d969c14",
+    "s01/t001_dst.csv": "5fbb584c5fa18ff6ef6763624a24873c2399961b4b4a37f1c98529a722c56788",
+    "s01/t001_eeg.csv": "2c190a911b32f4f6d9967ce3ad8a3a0f3ed27799084abd2b73c63810a6489d1e",
+    "s01/t002_att.csv": "6547ff25e690d5d8fc61fc5d90ccd5134ab82498ac0352ad0a0c7560415cb29b",
+    "s01/t002_dst.csv": "6caf9bd3942a05b8923e2734794cb9ce457e1a9f441ffe2523710b2be2301c6a",
+    "s01/t002_eeg.csv": "9911b059e544f9833187a9ad6abe06be0c23756dba6f7f79c2214ed60bfc6822",
+    **{
+        f"s01/t00{t}_{role}.json": "0424c2da7ab2655f17485d862432df4540443760ee143775d041ca9fb5a29b18"
+        for t in (1, 2)
+        for role in ("att", "dst", "eeg")
+    },
+}
+
+
+def test_simulated_dataset_bytes_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    cfg_path = write_config(tmp_path, doc=PINNED_CONFIG)
+    assert main(["simulate", "--config", str(cfg_path), "--data", str(data)]) == 0
+    written = {
+        p.relative_to(data).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(data.rglob("*"))
+        if p.is_file()
+    }
+    assert written == PINNED_SHA256
 
 
 THREE_SUBJECTS = {**TINY, "scenario": {**TINY["scenario"], "n_subjects": 3}}

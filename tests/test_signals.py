@@ -1,7 +1,9 @@
 """Container types, normalization, lag embedding, channel selection."""
 
 import csv
+import io
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,8 +86,12 @@ class TestRecording:
             ((), 64.0, np.zeros((0, 2)), ShapeMismatch),
             (("a",), 0.0, [[1.0, 2.0]], InvalidRate),
             (("a",), -64.0, [[1.0, 2.0]], InvalidRate),
+            (("a",), np.nan, [[1.0, 2.0]], InvalidRate),
+            (("a",), np.inf, [[1.0, 2.0]], InvalidRate),
+            (("a",), -np.inf, [[1.0, 2.0]], InvalidRate),
         ],
-        ids=["nan", "inf", "1-D", "fewer-labels", "more-labels", "no-rows", "zero-rate", "negative-rate"],
+        ids=["nan", "inf", "1-D", "fewer-labels", "more-labels", "no-rows", "zero-rate",
+             "negative-rate", "nan-rate", "inf-rate", "negative-inf-rate"],
     )
     def test_malformed_recording_refused(self, labels, rate, samples, error):
         with pytest.raises(error):
@@ -114,6 +120,23 @@ class TestRecording:
     def test_to_array_order(self):
         r = MultichannelRecording(("a", "b"), 64.0, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(r.to_array(), [[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("rate", [0.0, np.nan, np.inf, -np.inf], ids=["zero", "nan", "inf", "-inf"])
+def test_rate_must_be_finite_and_positive(rate):
+    """Both types refuse the rate, built directly or as a copy of a valid one
+    with new samples or a new rate. A NaN rate would otherwise surface later,
+    as a length-or-rate mismatch between two series of equal length."""
+    with pytest.raises(InvalidRate, match="finite number > 0"):
+        TimeSeries("x", rate, [1.0, 2.0])
+    with pytest.raises(InvalidRate, match="finite number > 0"):
+        MultichannelRecording(("a",), rate, [[1.0, 2.0]])
+    x = ts([1.0, 2.0])
+    object.__setattr__(x, "rate_hz", rate)
+    with pytest.raises(InvalidRate):
+        x.with_samples([3.0, 4.0])
+    with pytest.raises(InvalidRate):
+        replace(MultichannelRecording(("a",), 64.0, [[1.0, 2.0]]), rate_hz=rate)
 
 
 class TestNormalize:
@@ -256,6 +279,38 @@ class TestSelectChannels:
 SIDECAR = '{"subject_id": "s", "trial_id": "t", "condition": "unlabeled", "rate_hz": 64.0}'
 
 
+def row_loop_csv(r: MultichannelRecording) -> bytes:
+    """The writer's former row loop, kept as the oracle for its bytes: the
+    csv.writer header, then ``t + "," + ",".join(map(repr, row)) + "\\r\\n"``
+    over the rows of ``to_array()``."""
+    header = io.StringIO(newline="")
+    csv.writer(header).writerow(["t", *r.labels])
+    times = map(repr, (np.arange(r.n_samples) / r.rate_hz).tolist())
+    rows = (
+        t + "," + ",".join(map(repr, row)) + "\r\n"
+        for t, row in zip(times, r.to_array().tolist())
+    )
+    return (header.getvalue() + "".join(rows)).encode()
+
+
+#: Doubles whose shortest repr takes each of its forms: subnormal, signed
+#: zero, exponent notation at both ends, the smallest normal, the largest
+#: finite, and a sum that is not its decimal look-alike.
+AWKWARD = (5e-324, -0.0, 1e16, 1e-5, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2)
+
+
+def writer_cases():
+    rng = np.random.default_rng(21)
+    six = rng.standard_normal((6, 40))
+    for c, v in enumerate(AWKWARD):
+        six[c % 6, 3 * c : 3 * c + 2] = v, -v
+    return [
+        pytest.param(MultichannelRecording(LEFT_TEMPORAL_LABELS, 64.0, six), id="6-channel"),
+        pytest.param(MultichannelRecording(("env",), 100.0, rng.standard_normal((1, 25))), id="1-channel"),
+        pytest.param(MultichannelRecording(("a", "b"), 64.0, np.zeros((2, 0))), id="no-samples"),
+    ]
+
+
 class TestRecordingFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -303,6 +358,18 @@ class TestRecordingFiles:
         assert written.startswith(b't,a,"needs ""quoting"", here"\r\n')
         assert written.count(b"\r\n") == r.n_samples + 1
         assert read_recording(path).labels == labels
+
+    @pytest.mark.parametrize("r", writer_cases())
+    def test_writer_bytes_match_row_loop(self, tmp_path, r):
+        path = tmp_path / "rec.csv"
+        write_recording(r, path)
+        written = path.read_bytes()
+        assert written == row_loop_csv(r)
+        assert written.count(b"\r\n") == r.n_samples + 1
+        if r.n_samples == 0:
+            assert written == b"t,a,b\r\n"  # the header line only
+        else:
+            assert read_recording(path) == r
 
     def test_time_column_per_length_and_rate(self, tmp_path):
         # recordings of other lengths and rates in turn: each file's time
