@@ -9,7 +9,6 @@ synthetic data.
 
 from .analysis import (
     LinearFit,
-    RateDistortionPoint,
     RATE_KINDS,
     bin_rd,
     distortion,

@@ -36,41 +36,6 @@ KDE_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
-class RateDistortionPoint:
-    """One (rate, distortion) observation for one trial and condition.
-
-    ``distortion_db`` is ``10 log10(distortion)`` and is ``None`` for exact
-    zero distortion (excluded from dB curves, counted separately).
-    """
-
-    rate: float
-    distortion: float
-    condition: str
-    subject_id: str
-    trial_id: str
-    rate_kind: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < math.inf:
-            raise OutOfRange(f"rate must be finite and >= 0, got {self.rate}")
-        if not 0.0 <= self.distortion <= 1.0:
-            raise OutOfRange(f"distortion must be in [0, 1], got {self.distortion}")
-        if self.rate_kind not in RATE_KINDS:
-            raise ShapeMismatch(f"rate_kind must be one of {RATE_KINDS}")
-        if self.condition not in CONDITIONS:
-            raise ShapeMismatch(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
-
-    @property
-    def distortion_db(self) -> float | None:
-        if self.distortion == 0.0:
-            return None
-        return to_db(self.distortion)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "distortion_db": self.distortion_db}
-
-
-@dataclass(frozen=True)
 class LinearFit:
     """OLS line with a two-sided slope t-test."""
 
@@ -88,9 +53,9 @@ def distortion(rho: float) -> float:
     """Distortion ``1 - |rho|`` for a correlation in [-1, 1].
 
     Values within 1e-9 outside the interval (rounding of an exact +-1
-    correlation) are clamped; anything further raises OutOfRange.
+    correlation) are clamped; anything further, and NaN, raises OutOfRange.
     """
-    if abs(rho) > 1.0 + 1e-9:
+    if not abs(rho) <= 1.0 + 1e-9:
         raise OutOfRange(f"|rho| must be <= 1, got {rho}")
     return max(0.0, 1.0 - min(abs(rho), 1.0))
 
@@ -173,31 +138,38 @@ def support_threshold(grid, density, level: float = 0.01) -> float:
     return float(grid[above[-1]])
 
 
-def bin_rd(points, width: float, stride: float) -> list:
+def bin_rd(rates, distortions, width: float, stride: float) -> list:
     """Average distortion (in dB) in overlapping rate windows.
 
-    Window centers start at the smallest rate and advance by ``stride``
-    until the largest rate is covered; each window spans center +- width/2.
-    Points with zero distortion (no dB value) are skipped; empty windows are
-    omitted. Returns (center, mean_db, count) triples.
+    ``rates`` and ``distortions`` hold one value per trial. Window centers
+    start at the smallest rate and advance by ``stride`` until the largest
+    rate is covered; each window spans center +- width/2. Trials with zero
+    distortion (no dB value) are skipped; empty windows are omitted. Each dB
+    value is the scalar :func:`to_db`, so a curve does not depend on how a
+    vectorised log rounds. Returns (center, mean_db, count) triples.
 
     Raises
     ------
     ShapeMismatch
         Unless 0 < stride <= width: a wider stride leaves gaps between
-        windows, and the points in them would never be averaged.
+        windows, and the rates in them would never be averaged. Also for
+        rates and distortions of unequal length.
     NoPoints
-        If no point carries a dB value.
+        If no trial has a positive distortion.
     """
     if width <= 0 or stride <= 0:
         raise ShapeMismatch("width and stride must be > 0")
     if stride > width:
         raise ShapeMismatch(f"stride ({stride}) must be <= width ({width})")
-    usable = [(p.rate, p.distortion_db) for p in points if p.distortion_db is not None]
-    if not usable:
+    rates = np.asarray(rates, dtype=np.float64)
+    distortions = np.asarray(distortions, dtype=np.float64)
+    if rates.shape != distortions.shape or rates.ndim != 1:
+        raise ShapeMismatch("rates and distortions must be equal-length 1-D sequences")
+    usable = distortions != 0.0
+    if not usable.any():
         raise NoPoints("no rate-distortion points with positive distortion")
-    rates = np.array([u[0] for u in usable])
-    dbs = np.array([u[1] for u in usable])
+    rates = rates[usable]
+    dbs = np.array([to_db(d) for d in distortions[usable].tolist()])
     lo, hi = float(rates.min()), float(rates.max())
     n_windows = int(math.floor((hi - lo) / stride)) + 1
     centers = [lo + i * stride for i in range(n_windows)]

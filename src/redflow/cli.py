@@ -5,8 +5,9 @@ Stages (each resumable from the previous stage's files):
 * ``simulate``  config -> dataset directory (per-trial CSV + JSON sidecars)
 * ``train``     dataset -> one decoder JSON per (subject, condition)
 * ``rates``     dataset + decoders -> rates.ndjson, and rd_points.ndjson,
-  the records' distortion-rate points as an export
-* ``report``    rates.ndjson -> pdf.csv, rd_curve.csv, fits.json
+  each record's rate of every kind beside its distortion, as an export
+* ``report``    rates.ndjson -> pdf.csv, rd_curve.csv, fits.json, from each
+  (rate kind, condition) cell's rates and distortions (:func:`report_cells`)
 * ``all``       the four in memory on the simulated trials, writing the
   same files as the four stages and reading none back
 
@@ -225,7 +226,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 _STIM_SUFFIX = {"attended": "att", "distractor": "dst"}
 
-#: The rate record key behind each rate kind of a distortion-rate point.
+#: The rate record key behind each rate kind, in ``RATE_KINDS`` order.
 _RATE_KEYS = {
     "S_to_Shat": "r_s_to_shat", "E_to_Shat": "r_e_to_shat", "S_to_E": "r_s_to_e", "Rmin": "r_min",
 }
@@ -392,28 +393,30 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
     return records
 
 
-def _record_points(record: dict) -> list:
-    """The distortion-rate points of one rate record, one per rate kind in
-    ``RATE_KINDS`` order."""
-    return [
-        analysis.RateDistortionPoint(
-            rate=record[_RATE_KEYS[kind]],
-            distortion=record["distortion"],
-            condition=record["condition"],
-            subject_id=record["subject_id"],
-            trial_id=record["trial_id"],
-            rate_kind=kind,
+def report_cells(records) -> dict:
+    """``{(rate kind, condition): (rates, distortions)}``: each cell's rates
+    (the record key :data:`_RATE_KEYS` names) and distortions, as float64
+    arrays in record order. Cells run by kind, then by condition in order of
+    first appearance."""
+    by_condition = {}
+    for record in records:
+        by_condition.setdefault(record["condition"], []).append(record)
+    return {
+        (kind, condition): (
+            np.array([r[key] for r in rows], dtype=np.float64),
+            np.array([r["distortion"] for r in rows], dtype=np.float64),
         )
-        for kind in analysis.RATE_KINDS
-    ]
+        for kind, key in _RATE_KEYS.items()
+        for condition, rows in by_condition.items()
+    }
 
 
-def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tuple[list, list]:
-    """Rate record and distortion-rate points per (trial, condition).
+def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tuple[list, dict]:
+    """Rate record per (trial, condition), and the report's cells.
 
-    Returns (records, points) ordered by subject, trial, then condition, the
-    points projected from the records (:func:`_record_points`). ``decoders``
-    maps (subject, condition) to a (Decoder, cv_curve) pair as produced by
+    Returns (records, :func:`report_cells` of the records), the records
+    ordered by subject, trial, then condition. ``decoders`` maps (subject,
+    condition) to a (Decoder, cv_curve) pair as produced by
     :func:`train_decoders`; the curve is not used here. Subjects are rated
     independently (:func:`_map_groups`).
     """
@@ -422,34 +425,33 @@ def compute_rates(config: RunConfig, trials, decoders: dict, conditions) -> tupl
         raise NoPoints("no trials to rate")
     parts = _map_groups(_rate_subject, (config, decoders, conditions), _by_subject(trials))
     records = [record for part in parts for record in part]
-    return records, [point for record in records for point in _record_points(record)]
+    return records, report_cells(records)
 
 
-def build_report(config: RunConfig, points, conditions, rate_kinds=analysis.RATE_KINDS):
+def build_report(config: RunConfig, cells: dict, conditions, rate_kinds=analysis.RATE_KINDS):
     """Per-cell density, support-thresholded curve, and linear fit.
 
-    Returns (pdf_rows, curve_rows, fits). A failing cell (for example too
-    few points) is recorded as an ``error`` entry without aborting the
-    other cells.
+    ``cells`` is :func:`report_cells`' mapping; a missing cell has no
+    points. Returns (pdf_rows, curve_rows, fits). A failing cell (for
+    example too few points) is recorded as an ``error`` entry without
+    aborting the other cells.
     """
     pdf_rows = ["rate_kind,condition,rate_bits,density"]
     curve_rows = ["rate_kind,condition,center_bits,mean_distortion_db,count"]
+    no_points = (np.empty(0), np.empty(0))
     fits = {}
     for kind in rate_kinds:
         fits[kind] = {}
         for condition in conditions:
-            cell_points = [
-                p for p in points if p.rate_kind == kind and p.condition == condition
-            ]
+            rates, distortions = cells.get((kind, condition), no_points)
             fits[kind][condition] = _report_cell(
-                config, kind, condition, cell_points, pdf_rows, curve_rows
+                config, kind, condition, rates, distortions, pdf_rows, curve_rows
             )
     return pdf_rows, curve_rows, fits
 
 
-def _report_cell(config, kind, condition, cell_points, pdf_rows, curve_rows):
+def _report_cell(config, kind, condition, rates, distortions, pdf_rows, curve_rows):
     try:
-        rates = np.array([p.rate for p in cell_points])
         if rates.size < 5:
             raise TooFewSamples(f"{kind}/{condition}: need >= 5 points, got {rates.size}")
         grid = analysis.default_grid(rates)
@@ -459,22 +461,23 @@ def _report_cell(config, kind, condition, cell_points, pdf_rows, curve_rows):
             for g, d in zip(grid.tolist(), density.tolist())
         )
         threshold = analysis.support_threshold(grid, density, config.kde_level)
-        in_support = [p for p in cell_points if p.rate <= threshold]
-        curve = analysis.bin_rd(in_support, config.bin_width_bits, config.bin_stride_bits)
+        in_support = rates <= threshold
+        kept = rates[in_support], distortions[in_support]
+        curve = analysis.bin_rd(*kept, config.bin_width_bits, config.bin_stride_bits)
         curve_rows.extend(f"{kind},{condition},{c!r},{m!r},{n}" for c, m, n in curve)
         if config.fit_on == "binned":
             fit = analysis.fit_linear([c for c, _, _ in curve], [m for _, m, _ in curve])
         else:
-            usable = [p for p in in_support if p.distortion_db is not None]
+            usable = in_support & (distortions != 0.0)
             fit = analysis.fit_linear(
-                [p.rate for p in usable], [p.distortion_db for p in usable]
+                rates[usable], [analysis.to_db(d) for d in distortions[usable].tolist()]
             )
         cell = fit.to_dict()
         cell.update(
             support_threshold=threshold,
-            n_points_total=len(cell_points),
-            n_points_in_support=len(in_support),
-            n_zero_distortion=sum(1 for p in cell_points if p.distortion == 0.0),
+            n_points_total=rates.size,
+            n_points_in_support=int(in_support.sum()),
+            n_zero_distortion=int((distortions == 0.0).sum()),
         )
         return cell
     except RedflowError as exc:
@@ -488,8 +491,8 @@ def analyze_scenario(config: RunConfig, conditions=analysis.CONDITIONS):
     """
     trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
     decoders = train_decoders(config, trials, conditions)
-    _, points = compute_rates(config, trials, decoders, conditions)
-    _, _, fits = build_report(config, points, conditions)
+    _, cells = compute_rates(config, trials, decoders, conditions)
+    _, _, fits = build_report(config, cells, conditions)
     return fits
 
 
@@ -678,11 +681,13 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIO
             dec = decoder.load_decoder(path)
             _require_decoder_fits(config, path, dec)
             decoders[(subject, condition)] = (dec, None)
-    records, points = compute_rates(config, trials, decoders, conditions)
-    _write_rates(config, out_dir, records, points, data_hash)
+    records, _ = compute_rates(config, trials, decoders, conditions)
+    _write_rates(config, out_dir, records, data_hash)
 
 
-def _write_rates(config: RunConfig, out_dir: Path, records, points, data_hash) -> None:
+def _write_rates(config: RunConfig, out_dir: Path, records, data_hash) -> None:
+    """rates.ndjson, and rd_points.ndjson: one line per record and rate kind
+    (``RATE_KINDS`` order), ``distortion_db`` null at zero distortion."""
     meta = _run_meta(config, data_hash)
     _write_with_meta(
         out_dir / "rates.ndjson", meta,
@@ -690,20 +695,31 @@ def _write_rates(config: RunConfig, out_dir: Path, records, points, data_hash) -
     )
     _write_with_meta(
         out_dir / "rd_points.ndjson", meta,
-        [json.dumps(p.to_dict(), sort_keys=True) for p in points],
+        [
+            json.dumps({
+                **{k: r[k] for k in ("condition", "distortion", "subject_id", "trial_id")},
+                "distortion_db": analysis.to_db(r["distortion"]) if r["distortion"] else None,
+                "rate": r[key],
+                "rate_kind": kind,
+            }, sort_keys=True)
+            for r in records for kind, key in _RATE_KEYS.items()
+        ],
     )
 
 
 def read_rates(path) -> tuple[dict, list]:
-    """Read a rates.ndjson file; returns (meta, points), the points of each
-    record (:func:`_record_points`) in file order."""
+    """Read a rates.ndjson file; returns (meta, records) in file order.
+
+    Each record's four rates must be JSON numbers, finite and >= 0, its
+    distortion a JSON number in [0, 1], its condition one of
+    ``CONDITIONS``, and it must name its subject and trial."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"rate records not found: {path}")
     lines = path.read_text().split("\n")
     if not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing metadata header line")
-    points = []
+    records = []
     for lineno, line in enumerate(lines, start=1):
         if lineno > 1 and (line.startswith("#") or not line.strip()):
             continue
@@ -715,11 +731,19 @@ def read_rates(path) -> tuple[dict, list]:
                 meta = doc
                 continue
             for key in (*_RATE_KEYS.values(), "distortion"):
-                doc[key] = signals.json_number(doc[key])
-            points.extend(_record_points(doc))
+                value = doc[key] = signals.json_number(doc[key])
+                if not 0.0 <= value < np.inf:
+                    raise ValueError(f"{key} must be finite and >= 0, got {value}")
+            if doc["distortion"] > 1.0:
+                raise ValueError(f"distortion must be in [0, 1], got {doc['distortion']}")
+            if doc["condition"] not in analysis.CONDITIONS:
+                raise ValueError(f"unknown condition {doc['condition']!r}")
+            if not {"subject_id", "trial_id"} <= doc.keys():
+                raise KeyError("a record names its subject_id and trial_id")
+            records.append(doc)
         except (KeyError, TypeError, ValueError, OverflowError, RedflowError) as exc:
             raise DataError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
-    return meta, points
+    return meta, records
 
 
 def cmd_report(
@@ -731,9 +755,9 @@ def cmd_report(
     """Write pdf.csv, rd_curve.csv, and fits.json from the rate records."""
     out_dir = Path(out_dir)
     path = out_dir / "rates.ndjson"
-    in_meta, points = read_rates(path)
+    in_meta, records = read_rates(path)
     _require_config_hash(config, path, in_meta)
-    report = build_report(config, points, conditions, rate_kinds)
+    report = build_report(config, report_cells(records), conditions, rate_kinds)
     _write_report(config, out_dir, *report, in_meta.get("data_config_hash"))
 
 
@@ -751,9 +775,9 @@ def cmd_all(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS
     trials = cmd_simulate(config, data_dir)
     fitted = train_decoders(config, trials, conditions)
     _write_decoders(config, out_dir, fitted, data_hash)
-    records, points = compute_rates(config, trials, fitted, conditions)
-    _write_rates(config, out_dir, records, points, data_hash)
-    _write_report(config, out_dir, *build_report(config, points, conditions), data_hash)
+    records, cells = compute_rates(config, trials, fitted, conditions)
+    _write_rates(config, out_dir, records, data_hash)
+    _write_report(config, out_dir, *build_report(config, cells, conditions), data_hash)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Distortion, density estimation, binning, and the slope significance test."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 from redflow.analysis import (
-    RateDistortionPoint,
     bin_rd,
     default_grid,
     distortion,
@@ -18,6 +18,7 @@ from redflow.analysis import (
     t_cdf,
     to_db,
 )
+from redflow.cli import RunConfig, _write_rates
 from redflow.errors import (
     DegenerateX,
     EmptySupport,
@@ -44,13 +45,6 @@ def t_cdf_quadrature(t, dof):
     return tail
 
 
-def rd_point(rate, dist, kind="S_to_Shat", cond="attended", sid="s", tid="t"):
-    return RateDistortionPoint(
-        rate=rate, distortion=dist, condition=cond,
-        subject_id=sid, trial_id=tid, rate_kind=kind,
-    )
-
-
 class TestDistortion:
     def test_perfect(self):
         assert distortion(1.0) == 0.0
@@ -72,6 +66,13 @@ class TestDistortion:
 
     def test_rounding_slack(self):
         assert distortion(1.0 + 1e-12) == 0.0
+
+    def test_nan_refused(self):
+        # NaN fails every comparison, so a "> 1" test would let it through
+        # and max(0.0, nan) would score it as a perfect reconstruction
+        for rho in (float("nan"), -float("nan"), np.nan):
+            with pytest.raises(OutOfRange):
+                distortion(rho)
 
 
 class TestToDb:
@@ -145,31 +146,28 @@ class TestSupportThreshold:
 
 class TestBinRd:
     def test_two_points_one_window(self):
-        pts = [rd_point(0.001, 10 ** (-1 / 10)), rd_point(0.002, 10 ** (-3 / 10))]
-        out = bin_rd(pts, width=0.005, stride=0.005)
+        out = bin_rd([0.001, 0.002], [10 ** (-1 / 10), 10 ** (-3 / 10)], width=0.005, stride=0.005)
         center, mean_db, count = out[0]
         assert count == 2
         assert mean_db == pytest.approx(-2.0, abs=1e-9)
 
     def test_single_point(self):
-        pts = [rd_point(0.01, 0.5)]
-        out = bin_rd(pts, width=0.005, stride=0.0025)
+        out = bin_rd(np.array([0.01]), np.array([0.5]), width=0.005, stride=0.0025)
         assert len(out) == 1
         assert out[0][1] == pytest.approx(to_db(0.5))
         assert out[0][2] == 1
 
     def test_every_point_covered_when_stride_le_width(self):
         rng = np.random.default_rng(14)
-        pts = [rd_point(r, d) for r, d in zip(rng.uniform(0, 0.1, 200), rng.uniform(0.2, 0.9, 200))]
-        out = bin_rd(pts, width=0.005, stride=0.005)
+        rates, dists = rng.uniform(0, 0.1, 200), rng.uniform(0.2, 0.9, 200)
+        out = bin_rd(rates, dists, width=0.005, stride=0.005)
         assert sum(c for _, _, c in out) >= 200  # overlaps may double count
 
     def test_window_count_bound(self):
         rng = np.random.default_rng(15)
         rates = rng.uniform(0, 0.05, 300)
-        pts = [rd_point(r, 0.5) for r in rates]
         stride = 0.0025
-        out = bin_rd(pts, width=0.005, stride=stride)
+        out = bin_rd(rates, np.full(300, 0.5), width=0.005, stride=stride)
         assert len(out) <= math.ceil((rates.max() - rates.min()) / stride) + 1
 
     def test_planted_trend_recovered(self):
@@ -177,27 +175,29 @@ class TestBinRd:
         rng = np.random.default_rng(16)
         rates = rng.uniform(0.0, 0.1, 2000)
         db = -100.0 * rates - 1.0 + 0.3 * rng.standard_normal(2000)
-        pts = [rd_point(r, 10 ** (v / 10)) for r, v in zip(rates, db)]
-        out = bin_rd(pts, width=0.005, stride=0.0025)
+        out = bin_rd(rates, 10 ** (db / 10), width=0.005, stride=0.0025)
         fit = fit_linear([c for c, _, _ in out], [m for _, m, _ in out])
         assert abs(fit.slope - (-100.0)) / 100.0 < 0.10
 
     def test_zero_distortion_points_skipped(self):
-        pts = [rd_point(0.01, 0.0), rd_point(0.011, 0.5)]
-        out = bin_rd(pts, width=0.01, stride=0.01)
+        out = bin_rd([0.01, 0.011], [0.0, 0.5], width=0.01, stride=0.01)
         assert sum(c for _, _, c in out) == 1
 
     def test_stride_wider_than_width_rejected(self):
         # windows 0.02 apart and 0.005 wide would skip most of these rates
-        pts = [rd_point(r, 0.5) for r in np.linspace(0.0, 0.1, 101)]
+        rates = np.linspace(0.0, 0.1, 101)
         with pytest.raises(ShapeMismatch, match="stride"):
-            bin_rd(pts, width=0.005, stride=0.02)
+            bin_rd(rates, np.full(101, 0.5), width=0.005, stride=0.02)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeMismatch, match="equal-length"):
+            bin_rd([0.01, 0.02, 0.03], [0.5, 0.5], width=0.005, stride=0.0025)
 
     def test_no_points(self):
         with pytest.raises(NoPoints):
-            bin_rd([], width=0.005, stride=0.0025)
+            bin_rd([], [], width=0.005, stride=0.0025)
         with pytest.raises(NoPoints):
-            bin_rd([rd_point(0.01, 0.0)], width=0.005, stride=0.0025)
+            bin_rd([0.01], [0.0], width=0.005, stride=0.0025)
 
 
 class TestTCdf:
@@ -268,25 +268,17 @@ class TestFitLinear:
 
 
 class TestRateDistortionPoint:
-    def test_distortion_bounds(self):
-        with pytest.raises(OutOfRange):
-            rd_point(0.01, 1.5)
-
-    def test_zero_distortion_has_no_db(self):
-        assert rd_point(0.01, 0.0).distortion_db is None
-
-    def test_db_value(self):
-        assert rd_point(0.01, 0.5).distortion_db == pytest.approx(to_db(0.5))
-
-    def test_rate_kind_restricted(self):
-        with pytest.raises(ShapeMismatch):
-            rd_point(0.01, 0.5, kind="bogus")
-
-    def test_condition_restricted(self):
-        with pytest.raises(ShapeMismatch):
-            rd_point(0.01, 0.5, cond="atended")
-
-    def test_serialization(self):
-        doc = rd_point(0.01, 0.5).to_dict()
-        assert doc["rate_kind"] == "S_to_Shat"
-        assert doc["distortion_db"] == pytest.approx(to_db(0.5))
+    def test_db_value(self, tmp_path):
+        # an rd_points.ndjson line carries the dB value of its record's distortion
+        record = {
+            "condition": "attended", "subject_id": "s01", "trial_id": "t001", "distortion": 0.5,
+            "r_s_to_shat": 0.03, "r_e_to_shat": 0.02, "r_s_to_e": 0.01, "r_min": 0.01,
+        }
+        _write_rates(RunConfig(), tmp_path, [record], None)
+        lines = [
+            l for l in (tmp_path / "rd_points.ndjson").read_text().splitlines()
+            if not l.startswith("# meta ")
+        ]
+        assert len(lines) == 4
+        for line in lines:
+            assert json.loads(line)["distortion_db"] == pytest.approx(to_db(0.5))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from redflow import cli
-from redflow.analysis import RATE_KINDS
+from redflow.analysis import RATE_KINDS, to_db
 from redflow.cli import RunConfig, config_from_dict, load_config, main
 from redflow.errors import ConfigError, DataError, ShapeMismatch
 from redflow.infotheory import EmbedSpec
@@ -136,6 +136,9 @@ MALFORMED_INPUTS = {
     "point-huge-rate": ("report", RATES, 2, lambda t: set_keys(t, r_s_to_e=10**400)),
     # Python's json writes and reads NaN and Infinity
     "point-nan-rate": ("report", RATES, 2, lambda t: set_keys(t, r_min=float("nan"))),
+    "point-negative-rate": ("report", RATES, 2, lambda t: set_keys(t, r_s_to_e=-0.001)),
+    "point-negative-distortion": ("report", RATES, 2, lambda t: set_keys(t, distortion=-0.1)),
+    "point-without-trial": ("report", RATES, 2, lambda t: set_keys(t, trial_id=None)),
     "sidecar-infinite-rate": ("train", SIDECAR, None, lambda t: set_keys(t, rate_hz=float("inf"))),
     "decoder-nan-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": float("nan")})),
     "decoder-negative-lambda": ("rates", DECODER, None, lambda t: set_keys(t, **{"lambda": -1.0})),
@@ -307,8 +310,8 @@ class TestPipeline:
         assert kinds == {"S_to_Shat", "E_to_Shat", "S_to_E", "Rmin"}
 
     def test_report_reads_the_rate_records(self, run_dirs, tmp_path):
-        # report needs no rd_points.ndjson: it projects rates.ndjson, and
-        # each record's four points are its rd_points.ndjson lines
+        # report needs no rd_points.ndjson: it reads rates.ndjson, and each
+        # record's four rd_points.ndjson lines are written from the record
         root, cfg_path, data, out = run_dirs
         records = [json.loads(l) for l in read_nonmeta_lines(out / "rates.ndjson")]
         points = [json.loads(l) for l in read_nonmeta_lines(out / "rd_points.ndjson")]
@@ -319,6 +322,7 @@ class TestPipeline:
                 assert point["rate"] == record[cli._RATE_KEYS[kind]]
                 for key in ("distortion", "condition", "subject_id", "trial_id"):
                     assert point[key] == record[key], key
+                assert point["distortion_db"] == to_db(record["distortion"])
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         (copy / "rd_points.ndjson").unlink()
@@ -328,6 +332,19 @@ class TestPipeline:
                      "--out", str(copy)]) == 0
         for name in ("pdf.csv", "rd_curve.csv", "fits.json"):
             assert strip_timestamp(copy / name) == strip_timestamp(out / name), name
+
+    def test_rd_points_null_db_at_zero_distortion(self, tmp_path):
+        # a perfect reconstruction has no dB value: its lines carry null
+        record = {
+            "condition": "attended", "subject_id": "s01", "trial_id": "t001", "distortion": 0.0,
+            "r_s_to_shat": 0.03, "r_e_to_shat": 0.02, "r_s_to_e": 0.01, "r_min": 0.01,
+        }
+        cli._write_rates(RunConfig(), tmp_path, [record], None)
+        lines = read_nonmeta_lines(tmp_path / "rd_points.ndjson")
+        assert [json.loads(l)["rate_kind"] for l in lines] == list(RATE_KINDS)
+        for line in lines:
+            assert '"distortion_db": null' in line
+            assert json.loads(line)["distortion"] == 0.0
 
     def test_fits_has_eight_cells(self, run_dirs):
         _, _, _, out = run_dirs
@@ -499,11 +516,15 @@ class TestSubjectWorkers:
         for n in (1, 2):
             use_cpus(monkeypatch, n)
             decoders = cli.train_decoders(config, trials, conditions)
-            records, points = cli.compute_rates(config, trials, decoders, conditions)
-            _, _, fits = cli.build_report(config, points, conditions)
-            runs.append((decoders, records, points, fits))
-        (dec1, records1, points1, fits1), (dec2, records2, points2, fits2) = runs
-        assert records1 == records2 and points1 == points2 and fits1 == fits2
+            records, cells = cli.compute_rates(config, trials, decoders, conditions)
+            _, _, fits = cli.build_report(config, cells, conditions)
+            runs.append((decoders, records, cells, fits))
+        (dec1, records1, cells1, fits1), (dec2, records2, cells2, fits2) = runs
+        assert records1 == records2 and fits1 == fits2
+        assert list(cells1) == list(cells2) and len(cells1) == 4 * 2
+        for key in cells1:
+            for a, b in zip(cells1[key], cells2[key]):
+                assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b), key
         assert len(records1) == 3 * 4 * 2
         assert list(dec1) == list(dec2)
         for key in dec1:
@@ -863,24 +884,15 @@ class TestPipelineVariants:
         # exchangeable null: rates and distortions drawn independently; the
         # report's significance test must hold its nominal level (the binned
         # display curve is unaffected). 300 seeds, default (raw) fit mode.
-        from redflow.analysis import RateDistortionPoint
-
         config = RunConfig()
         hits = 0
         pvals = []
         n_seeds = 300
         for seed in range(n_seeds):
             rng = np.random.default_rng(seed)
-            pts = [
-                RateDistortionPoint(
-                    rate=r, distortion=d, condition="attended",
-                    subject_id="s", trial_id=f"t{i}", rate_kind="S_to_Shat",
-                )
-                for i, (r, d) in enumerate(
-                    zip(rng.uniform(0.0, 0.05, 120), rng.uniform(0.2, 0.9, 120))
-                )
-            ]
-            _, _, fits = cli.build_report(config, pts, ("attended",), ("S_to_Shat",))
+            rates, distortions = rng.uniform(0.0, 0.05, 120), rng.uniform(0.2, 0.9, 120)
+            cells = {("S_to_Shat", "attended"): (rates, distortions)}
+            _, _, fits = cli.build_report(config, cells, ("attended",), ("S_to_Shat",))
             p = fits["S_to_Shat"]["attended"]["p_value"]
             pvals.append(p)
             hits += p < 0.05
@@ -895,8 +907,8 @@ class TestPipelineVariants:
         conditions = ("attended", "distractor")
         trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
         decs = cli.train_decoders(config, trials, conditions)
-        _, points = cli.compute_rates(config, trials, decs, conditions)
-        _, curve_rows, fits = cli.build_report(config, points, conditions)
+        _, rd_cells = cli.compute_rates(config, trials, decs, conditions)
+        _, curve_rows, fits = cli.build_report(config, rd_cells, conditions)
         fitted = 0
         for kind, cells in fits.items():
             for cond, cell in cells.items():
