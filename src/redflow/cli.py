@@ -14,13 +14,13 @@ Stages (each resumable from the previous stage's files):
 The computations are pure functions of in-memory trials
 (:func:`train_decoders`, :func:`compute_rates`, :func:`build_report`); the
 stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
-the whole chain in memory for a simulated scenario. ``train_decoders`` and
-``compute_rates`` handle each subject on its own, and ``simulate`` writes
-each trial's CSV files and sidecars on its own, in forked worker processes
-where more than one CPU is usable (:func:`_map_groups`). Each file is
-written by exactly one process; the parent writes the dataset manifest and
-every file under the output directory, so outputs do not depend on the
-worker count.
+the whole chain in memory for a simulated scenario, generating each subject
+in the task that trains and rates it. Each subject is trained and rated,
+and each trial's files written, on its own, in one pool of forked worker
+processes per command where more than one CPU is usable (:func:`_pool`).
+Each file is written by exactly one process; the parent writes the dataset
+manifest and every file under the output directory, so outputs do not
+depend on the worker count.
 
 Every output embeds the hash of the canonical run configuration; ``rates``
 refuses decoders and ``report`` refuses rate records whose hash differs from
@@ -47,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -279,47 +280,57 @@ def _worker_count(n_groups: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_groups)
 
 
-#: (fn, args, groups) of the pool a worker process was forked for; set only
-#: in the worker, by the pool's initializer.
-_worker_job = None
+#: The tasks of the pool a worker process was forked for; set only in the
+#: worker, by the pool's initializer.
+_worker_tasks = None
 
 
-def _start_worker(fn, args, groups) -> None:
-    global _worker_job
-    _worker_job = (fn, args, groups)
+def _start_worker(tasks) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
 
 
 def _run_job(index: int):
-    fn, args, groups = _worker_job
-    return fn(*args, groups[index])
+    return _worker_tasks[index]()
 
 
-def _map_groups(fn, args, groups) -> list:
-    """``[fn(*args, group) for group in groups]``, with the groups spread
-    over forked worker processes when more than one CPU is usable. A group
-    is whatever ``fn`` handles on its own: a ``(subject, trials)`` pair for
-    training and rating, one trial for writing the dataset.
-
-    ``fn``, ``args`` and ``groups`` reach the workers through the fork and
-    are never pickled; a task is a group's index and only results come
-    back. Results are read in group order, so the error raised is the one
-    in-process execution raises first. The pool is shut down before this
-    returns or raises, so no worker outlives the call.
-    """
-    workers = _worker_count(len(groups))
+@contextmanager
+def _pool(tasks):
+    """Yields, for each task (a callable without arguments), a callable that
+    returns its result or raises its error. With more than one usable CPU
+    the tasks are dispatched in order to forked workers, which inherit them
+    (nothing but results is pickled), and a call waits for its result;
+    otherwise a call runs its task in-process. Either way the caller meets
+    the errors in the order it reads the results. No worker outlives the
+    block: the pool is shut down, its queued tasks cancelled."""
+    workers = _worker_count(len(tasks))
     if workers <= 1:
-        return [fn(*args, group) for group in groups]
+        yield tasks
+        return
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(fn, args, groups),
+        initargs=(tasks,),
     ) as pool:
-        return list(pool.map(_run_job, range(len(groups))))
+        futures = [pool.submit(_run_job, i) for i in range(len(tasks))]
+        try:
+            yield [future.result for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
-def _train_subject(config: RunConfig, conditions, group) -> dict:
-    """Decoders of one ``(subject, trials)`` group; see :func:`train_decoders`."""
+def _map_groups(fn, args, groups) -> list:
+    """``[fn(*args, group) for group in groups]`` through :func:`_pool`, read
+    in group order: the error raised is the one a serial run meets first."""
+    with _pool([partial(fn, *args, group) for group in groups]) as results:
+        return [result() for result in results]
+
+
+def _train_subject(config: RunConfig, conditions, group, prepared=None) -> dict:
+    """Decoders of one ``(subject, trials)`` group (see :func:`train_decoders`);
+    each trial's prepared EEG is appended to ``prepared`` if given."""
     subject, subject_trials = group
     window = config.lag_window()
     per_cond = {c: [] for c in conditions}
@@ -331,12 +342,15 @@ def _train_subject(config: RunConfig, conditions, group) -> dict:
             for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
                 per_cond[condition].append(stats)
         labels = eeg.labels
+        if prepared is not None:
+            prepared.append(eeg)
     out = {}
     for condition in conditions:
-        best_lam, mean_rho = decoder.cross_validate_stats(per_cond[condition], config.lambda_grid)
-        fitted = decoder.train_pooled_stats(
-            per_cond[condition], window, best_lam, labels, config.rate_hz
-        )
+        with _context(f"subject {subject}, {condition}"):
+            best_lam, mean_rho = decoder.cross_validate_stats(per_cond[condition], config.lambda_grid)
+            fitted = decoder.train_pooled_stats(
+                per_cond[condition], window, best_lam, labels, config.rate_hz
+            )
         out[(subject, condition)] = (fitted, mean_rho)
     return out
 
@@ -355,9 +369,9 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     return out
 
 
-def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
-    """Rate records of one ``(subject, trials)`` group; see
-    :func:`compute_rates`."""
+def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared=None) -> list:
+    """Rate records of one ``(subject, trials)`` group (see
+    :func:`compute_rates`), reusing ``prepared`` EEG if given."""
     subject, subject_trials = group
     window = config.lag_window()
     embed = config.embed()
@@ -365,10 +379,10 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
         if (subject, condition) not in decoders:
             raise DataError(f"no decoder for subject {subject}, {condition}")
     records = []
-    for trial in subject_trials:
+    for i, trial in enumerate(subject_trials):
         where = f"subject {subject}, trial {trial.trial_id}"
         with _context(where):
-            eeg = _prep_eeg(config, trial.eeg)
+            eeg = _prep_eeg(config, trial.eeg) if prepared is None else prepared[i]
             valid = signals.lag_valid_slice(eeg.n_samples, window)
             electrodes = replace(eeg, samples=eeg.samples[:, valid])
         n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
@@ -391,6 +405,14 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
                     "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
                 })
     return records
+
+
+def _fit_and_rate(config: RunConfig, conditions, group) -> tuple[dict, list]:
+    """Decoders and rate records of one ``(subject, trials)`` group: training,
+    then rating, with each trial's EEG prepared once for both."""
+    prepared = []
+    decoders = _train_subject(config, conditions, group, prepared)
+    return decoders, _rate_subject(config, decoders, conditions, group, prepared)
 
 
 def report_cells(records) -> dict:
@@ -484,15 +506,21 @@ def _report_cell(config, kind, condition, rates, distortions, pdf_rows, curve_ro
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _analyze_subject(config: RunConfig, conditions, index: int) -> list:
+    """Rate records of scenario subject ``index``, generated here."""
+    trials = synth.make_aad_scenario(config.scenario(), config.rate_hz, subjects=[index])
+    return _fit_and_rate(config, conditions, *_by_subject(trials))[1]
+
+
 def analyze_scenario(config: RunConfig, conditions=analysis.CONDITIONS):
-    """Simulate, train, rate, and fit entirely in memory.
+    """Simulate, train, rate, and fit entirely in memory, one subject per
+    task (:func:`_map_groups`); only rate records reach the caller's process.
 
     Returns the same fits structure ``report`` writes to ``fits.json``.
     """
-    trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
-    decoders = train_decoders(config, trials, conditions)
-    _, cells = compute_rates(config, trials, decoders, conditions)
-    _, _, fits = build_report(config, cells, conditions)
+    parts = _map_groups(_analyze_subject, (config, conditions), range(config.n_subjects))
+    records = [record for part in parts for record in part]
+    _, _, fits = build_report(config, report_cells(records), conditions)
     return fits
 
 
@@ -539,25 +567,34 @@ def _write_trial(data_dir: Path, stamp: dict, trial: synth.TrialData) -> None:
         signals.write_recording(rec, Path(f"{base}_{suffix}.csv"), extra_meta=stamp)
 
 
-def _write_dataset(config: RunConfig, data_dir: Path, trials) -> None:
-    """The directories first, then each trial's files (:func:`_map_groups`),
-    then the manifest."""
+def _write_dataset(config: RunConfig, data_dir: Path, trials, conditions=()) -> list:
+    """The directories, then one :func:`_pool`: given ``conditions``, a task
+    per subject that trains and rates it, dispatched first as the longest,
+    and a task per trial that writes its files. The writes are read first,
+    then the manifest is written; returns the subjects' (decoders, records)."""
     subjects = sorted({t.subject_id for t in trials})
     data_dir.mkdir(parents=True, exist_ok=True)
     for subject in subjects:
         (data_dir / subject).mkdir(exist_ok=True)
-    _map_groups(_write_trial, (data_dir, {"config_hash": config.config_hash()}), trials)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "rng": synth.RNG_ALGORITHM,
-        "rate_hz": config.rate_hz,
-        "subjects": subjects,
-        "trials_per_subject": config.n_trials,
-        "n_samples": config.n_samples,
-    }
-    signals.write_json(data_dir / "manifest.json", manifest)
+    groups = _by_subject(trials) if conditions else []
+    fits = [partial(_fit_and_rate, config, conditions, group) for group in groups]
+    stamp = {"config_hash": config.config_hash()}
+    writes = [partial(_write_trial, data_dir, stamp, trial) for trial in trials]
+    with _pool(fits + writes) as results:
+        for write in results[len(fits):]:
+            write()
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "config_hash": config.config_hash(),
+            "seed": config.seed,
+            "rng": synth.RNG_ALGORITHM,
+            "rate_hz": config.rate_hz,
+            "subjects": subjects,
+            "trials_per_subject": config.n_trials,
+            "n_samples": config.n_samples,
+        }
+        signals.write_json(data_dir / "manifest.json", manifest)
+        return [fit() for fit in results[: len(fits)]]
 
 
 def _load_manifest(data_dir: Path) -> dict:
@@ -769,15 +806,18 @@ def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits, 
 
 
 def cmd_all(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
-    """The four stages on the simulated trials in memory: each file is
-    written once, by the same writer as its stage, and none is read back."""
+    """The four stages on the simulated trials in memory, in one pool
+    (:func:`_write_dataset`): each file is written once, by the same writer
+    as its stage, and none is read back."""
     out_dir, data_hash = Path(out_dir), config.config_hash()
-    trials = cmd_simulate(config, data_dir)
-    fitted = train_decoders(config, trials, conditions)
+    trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+    parts = _write_dataset(config, Path(data_dir), trials, conditions)
+    fitted = {key: fit for decoders, _ in parts for key, fit in decoders.items()}
+    records = [record for _, part in parts for record in part]
     _write_decoders(config, out_dir, fitted, data_hash)
-    records, cells = compute_rates(config, trials, fitted, conditions)
     _write_rates(config, out_dir, records, data_hash)
-    _write_report(config, out_dir, *build_report(config, cells, conditions), data_hash)
+    report = build_report(config, report_cells(records), conditions)
+    _write_report(config, out_dir, *report, data_hash)
 
 
 # ---------------------------------------------------------------------------

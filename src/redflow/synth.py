@@ -305,10 +305,12 @@ def _subject_parameters(sc: AadScenario, s: int) -> tuple:
     return att_gain, dist_gain, att_taps, dist_taps, ar_coefs, common_gains
 
 
-def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
-    """Generate all trials of a scenario, deterministically from its seed.
+def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> list:
+    """Generate the trials of a scenario, deterministically from its seed.
 
-    Returns a list of :class:`TrialData`, ordered by subject then trial.
+    Returns a list of :class:`TrialData`, ordered by subject then trial, of
+    the ``subjects`` (0-based indices) or of all; a subject's trials do not
+    depend on which others are generated.
     Channel generation per trial: each channel is an AR(1) (coefficient
     drawn per channel) driven by lag-1/lag-2 taps of both envelopes, a
     shared common-noise channel mix, and white observation noise. Trials
@@ -318,8 +320,11 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
     """
     env_scale = _ar2_unit_variance_scale(_ENV_A1, _ENV_A2)
     labels = _channel_labels(sc.n_channels)
-    subjects = [_subject_parameters(sc, s) for s in range(sc.n_subjects)]
-    keys = [(s, tr) for s in range(sc.n_subjects) for tr in range(sc.n_trials)]
+    chosen = range(sc.n_subjects) if subjects is None else subjects
+    if not set(chosen) <= set(range(sc.n_subjects)):
+        raise ShapeMismatch(f"subjects must be in 0..{sc.n_subjects - 1}, got {list(chosen)}")
+    params = {s: _subject_parameters(sc, s) for s in chosen}
+    keys = [(s, tr) for s in chosen for tr in range(sc.n_trials)]
     # two buffers, filtered in place and reused by every batch: envelope
     # innovations (trial, [att, dist, common], time) after two zero samples,
     # which the filter runs through and leaves +0.0, so the envelopes one and
@@ -330,7 +335,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
     # the channel-specific noise is white so reconstruction residuals keep
     # broadband content.
     total = sc.n_samples + _SCENARIO_BURN
-    size = min(len(keys), _SCENARIO_BATCH)
+    size = min(len(keys), _SCENARIO_BATCH) or 1
     env = np.zeros((size, 3, 2 + total))
     drive = np.empty((size, sc.n_channels, total))
     trials = []
@@ -346,7 +351,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
             drive[i] = (sc.observation_noise * trng.standard_normal((total, sc.n_channels))).T
         _ar_filter(np.moveaxis(env[: len(batch)], -1, 0), (_ENV_A1, _ENV_A2))
         for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
-            att_gain, dist_gain, att_taps, dist_taps, _, common_gains = subjects[s]
+            att_gain, dist_gain, att_taps, dist_taps, _, common_gains = params[s]
             (att_l1, dist_l1), (att_l2, dist_l2) = env[i, :2, 1:-1], env[i, :2, :-2]
             # one row per channel, with its taps as columns; the buffer holds
             # the observation noise, the last term of the drive, and adding
@@ -356,7 +361,7 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0) -> list:
                 + dist_gain * trial_scale * (dist_taps[:, :1] * dist_l1 + dist_taps[:, 1:] * dist_l2)
                 + common_gains[:, None] * env[i, 2, 2:]
             )
-        ar_coefs = np.stack([subjects[s][4] for s, _ in batch])
+        ar_coefs = np.stack([params[s][4] for s, _ in batch])
         _ar_filter(np.moveaxis(drive[: len(batch)], -1, 0), (ar_coefs,))
 
         for i, (s, tr) in enumerate(batch):

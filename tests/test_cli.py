@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import sys
 import threading
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from redflow import cli
 from redflow.analysis import RATE_KINDS, to_db
 from redflow.cli import RunConfig, config_from_dict, load_config, main
-from redflow.errors import ConfigError, DataError, ShapeMismatch
+from redflow.errors import ConfigError, DataError, ShapeMismatch, SingularSystem
 from redflow.infotheory import EmbedSpec
 from redflow.synth import AadScenario, make_aad_scenario
 
@@ -476,6 +477,19 @@ def pid_of(group):
     return os.getpid()
 
 
+def plant_singular(monkeypatch, subjects):
+    """Make cross-validation raise SingularSystem for the given subjects."""
+    cross_validate_stats = cli.decoder.cross_validate_stats
+
+    def singular_for(stats, lambdas):
+        # the calling frame trains one subject
+        if sys._getframe(1).f_locals["subject"] in subjects:
+            raise SingularSystem("planted")
+        return cross_validate_stats(stats, lambdas)
+
+    monkeypatch.setattr(cli.decoder, "cross_validate_stats", singular_for)
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="workers need the fork start method"
 )
@@ -564,6 +578,98 @@ class TestSubjectWorkers:
             assert not (data / "manifest.json").exists()
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1]
+
+    def test_all_write_error_names_the_earliest_trial(self, tmp_path, monkeypatch, capsys):
+        # all dispatches its subject tasks first but reads its writes first:
+        # a failed write wins over a failed subject
+        plant_singular(monkeypatch, {"s01"})
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        data, out = tmp_path / "data", tmp_path / "out"
+        errors = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            if data.exists():
+                shutil.rmtree(data)
+            for name in ("s01/t002_eeg.csv", "s03/t001_att.csv"):
+                (data / name).mkdir(parents=True)
+            capsys.readouterr()
+            assert main(["all", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert str(data / "s01" / "t002_eeg.csv") in errors[-1]
+            assert not (data / "manifest.json").exists()
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+
+    def test_all_numerical_error_names_the_subject(self, tmp_path, monkeypatch, capsys):
+        plant_singular(monkeypatch, {"s02", "s03"})
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        errors = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            data, out = tmp_path / f"data{n}", tmp_path / f"out{n}"
+            capsys.readouterr()
+            assert main(["all", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 4
+            errors.append(capsys.readouterr().err)
+            assert "SingularSystem: subject s02, attended: planted" in errors[-1]
+            # the dataset was written in full before the subjects were read
+            assert (data / "manifest.json").is_file()
+            assert len([p for p in data.rglob("*") if p.is_file()]) == 1 + 3 * 4 * 6
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+
+    def test_all_equal_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        trees = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            run = tmp_path / f"run{n}"
+            args = ["--config", str(cfg_path), "--data", str(run / "data"), "--out", str(run / "out")]
+            assert main(["all", *args]) == 0
+            trees.append({
+                p.relative_to(run): strip_timestamp(p) for p in sorted(run.rglob("*")) if p.is_file()
+            })
+        assert trees[0] == trees[1]
+        # the dataset; two decoders a subject, the two rate files and the report
+        assert len(trees[0]) == (1 + 3 * 4 * 6) + (3 * 2 + 2 + 3)
+
+    def test_analyze_scenario_equals_the_staged_functions(self, monkeypatch):
+        config = config_from_dict(THREE_SUBJECTS)
+        for conditions in (("attended", "distractor"), ("distractor",)):
+            trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+            decoders = cli.train_decoders(config, trials, conditions)
+            _, cells = cli.compute_rates(config, trials, decoders, conditions)
+            _, _, staged = cli.build_report(config, cells, conditions)
+            for n in (1, 2):
+                use_cpus(monkeypatch, n)
+                assert cli.analyze_scenario(config, conditions) == staged
+
+    def test_one_pool_per_command(self, tmp_path, monkeypatch):
+        # each pool forks its workers: a fixed cost per pool
+        started = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        use_cpus(monkeypatch, 2)
+        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
+        args = ["--config", str(cfg_path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        pools = {}
+        for command in ("all", "simulate", "train", "rates", "report"):
+            started.clear()
+            assert main([command, *args]) == 0
+            pools[command] = list(started)
+        started.clear()
+        cli.analyze_scenario(load_config(cfg_path))
+        pools["analyze_scenario"] = list(started)
+        assert pools == {
+            "all": [2], "simulate": [2], "train": [2], "rates": [2], "report": [],
+            "analyze_scenario": [2],
+        }
 
     def test_error_names_the_earliest_subject(self, tmp_path, monkeypatch, capsys):
         cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)

@@ -277,6 +277,23 @@ class TestAadScenario:
                 h.update(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    def test_subject_subset_matches_the_full_scenario(self):
+        # 75 trials: the full run filters them in batches of 60, which split
+        # s03's trials; a subset is batched differently
+        sc = AadScenario(n_samples=150, n_trials=25, n_subjects=3, n_channels=3, seed=4)
+        full = make_aad_scenario(sc)
+        for subjects in ([1], [2, 0], range(3), []):
+            part = make_aad_scenario(sc, subjects=subjects)
+            want = [t for s in subjects for t in full[25 * s : 25 * (s + 1)]]
+            assert [(t.subject_id, t.trial_id) for t in part] == [
+                (t.subject_id, t.trial_id) for t in want
+            ]
+            for a, b in zip(part, want):
+                assert a.eeg == b.eeg and a.attended == b.attended and a.distractor == b.distractor
+        for subjects in ([3], [-1]):
+            with pytest.raises(ShapeMismatch, match="subjects must be in 0..2"):
+                make_aad_scenario(sc, subjects=subjects)
+
     def test_import_leaves_scipy_signal_and_stats_unloaded(self):
         src = Path(synth.__file__).resolve().parents[1]
         code = (
