@@ -329,30 +329,25 @@ def _map_groups(fn, args, groups) -> list:
 
 
 def _train_subject(config: RunConfig, conditions, group, prepared=None) -> dict:
-    """Decoders of one ``(subject, trials)`` group (see :func:`train_decoders`);
-    each trial's prepared EEG is appended to ``prepared`` if given."""
+    """Decoders of one ``(subject, trials)`` group (see :func:`train_decoders`),
+    each condition one target of the subject's ridge system; each trial's
+    prepared EEG is appended to ``prepared`` if given."""
     subject, subject_trials = group
     window = config.lag_window()
-    per_cond = {c: [] for c in conditions}
-    labels = None
+    stats = []
     for trial in subject_trials:
         with _context(f"subject {subject}, trial {trial.trial_id}"):
             eeg = _prep_eeg(config, trial.eeg)
             stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
-            for condition, stats in zip(conditions, decoder.trial_stats(eeg, stims, window)):
-                per_cond[condition].append(stats)
-        labels = eeg.labels
+            stats.append(decoder.trial_stats(eeg, stims, window))
         if prepared is not None:
             prepared.append(eeg)
-    out = {}
-    for condition in conditions:
-        with _context(f"subject {subject}, {condition}"):
-            best_lam, mean_rho = decoder.cross_validate_stats(per_cond[condition], config.lambda_grid)
-            fitted = decoder.train_pooled_stats(
-                per_cond[condition], window, best_lam, labels, config.rate_hz
-            )
-        out[(subject, condition)] = (fitted, mean_rho)
-    return out
+    try:
+        fits = decoder.fit_decoders(stats, config.lambda_grid, window, eeg.labels, config.rate_hz)
+    except RedflowError as exc:  # the shared system's, or one target's (a constant one)
+        where = f", {conditions[exc.target]}" if hasattr(exc, "target") else ""
+        raise type(exc)(f"subject {subject}{where}: {exc}") from exc
+    return {(subject, condition): fit for condition, fit in zip(conditions, fits)}
 
 
 def train_decoders(config: RunConfig, trials, conditions) -> dict:
@@ -360,8 +355,9 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
 
     Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
     trial's design is built once, for all conditions, and only its
-    sufficient statistics are kept. Subjects are trained independently
-    (:func:`_map_groups`).
+    sufficient statistics are kept; each subject's cross-validation
+    factorises every (fold, lambda) system once and solves it for every
+    condition. Subjects are trained independently (:func:`_map_groups`).
     """
     out = {}
     for part in _map_groups(_train_subject, (config, conditions), _by_subject(trials)):
@@ -391,6 +387,7 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared
             with _context(f"{where}, {condition}"):
                 shat = signals.normalize(decoder.reconstruct(dec, eeg))
                 stim = _stimulus(trial, condition)
+                decoder.check_stimulus(eeg, stim)
                 stim = signals.normalize(stim.with_samples(stim.samples[valid]))
                 rho = decoder.pearson(shat, stim)
                 records.append({

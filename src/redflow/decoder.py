@@ -7,6 +7,9 @@ reconstruction at time t is the sum over channels c and lags tau of
 columns are ordered channel-major, lag-minor (all lags of channel 0, then
 all lags of channel 1, ...). No intercept is fit; both sides are expected
 zero-mean (normalize first).
+
+A trial's statistics hold one target per stimulus (:func:`trial_stats`), and
+:func:`fit_decoders` solves every target from each factorisation it makes.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def build_design(r: MultichannelRecording, w: LagWindow) -> np.ndarray:
     return view.reshape(view.shape[0], -1)
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Cholesky solve of (gram + lam I) g = rhs.
+def _factor(gram: np.ndarray, lam: float):
+    """Cholesky factor of gram + lam I, for ``scipy.linalg.cho_solve``.
 
     Raises SingularSystem when lam == 0 and the Gram matrix is rank-deficient
     beyond tolerance, or when the factorization fails (a lam too small to
@@ -103,19 +106,18 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np
                 f"(relative conditioning {eigs[0] / max(eigs[-1], 1e-300):.2e})"
             )
     try:
-        cho = scipy.linalg.cho_factor(
-            gram + lam * np.eye(gram.shape[0]), lower=True, check_finite=False
-        )
+        return scipy.linalg.cho_factor(gram + lam * np.eye(len(gram)), lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
-        raise SingularSystem(
-            f"normal equations are not positive definite at lambda={lam!r}"
-        ) from None
-    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        raise SingularSystem(f"normal equations are not positive definite at lambda={lam!r}") from None
 
 
-def train(
-    r: MultichannelRecording, s: TimeSeries, w: LagWindow, lam: float
-) -> Decoder:
+def _decoder(cho, rhs: np.ndarray, w: LagWindow, lam: float, channel_labels, rate_hz) -> Decoder:
+    """The decoder whose design-order weights solve ``cho`` for ``rhs``."""
+    flat = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    return Decoder(flat.reshape(len(channel_labels), w.n_lags).T, w, float(lam), channel_labels, rate_hz)
+
+
+def train(r: MultichannelRecording, s: TimeSeries, w: LagWindow, lam: float) -> Decoder:
     """Fit the ridge decoder for one recording/stimulus pair.
 
     The stimulus is truncated to the design's valid rows before solving.
@@ -128,7 +130,8 @@ def train(
         If ``lam == 0`` and the normal equations are rank-deficient, or if
         ``lam`` is too small for the factorization to succeed.
     """
-    return train_pooled_stats(trial_stats(r, [s], w), w, lam, r.labels, r.rate_hz)
+    st = trial_stats(r, [s], w)
+    return _decoder(_factor(st.gram, lam), st.rhs[0], w, lam, r.labels, r.rate_hz)
 
 
 def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
@@ -183,26 +186,35 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
     return float(np.dot(da, db) / (na * nb))
 
 
+def check_stimulus(r: MultichannelRecording, s: TimeSeries) -> None:
+    """Refuse a stimulus whose rate or length differs from the recording's."""
+    if s.rate_hz != r.rate_hz:
+        raise ShapeMismatch(f"stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
+    if len(s) != r.n_samples:
+        raise ShapeMismatch(f"stimulus length {len(s)} != recording length {r.n_samples}")
+
+
 @dataclass(frozen=True, eq=False)
 class TrialStats:
-    """Sufficient statistics of one trial's design D and target y.
+    """Sufficient statistics of one trial's design D and its targets y_k.
 
-    ``gram`` is D'D, ``rhs`` is D'y, ``col_sums`` the column sums of D,
-    ``target_sum`` the sum of y, ``target_css`` its centred sum of squares
-    and ``n`` the number of rows. They suffice both to accumulate the normal
-    equations and to score any decoder g on the trial by Pearson correlation.
+    ``gram`` is D'D, ``col_sums`` the column sums of D and ``n`` the number
+    of rows, shared by every target. Row k of ``rhs`` is D'y_k,
+    ``target_sum[k]`` the sum of y_k and ``target_css[k]`` its centred sum
+    of squares. They suffice both to accumulate the normal equations and to
+    score any decoder g on the trial by Pearson correlation.
     """
 
     gram: np.ndarray
-    rhs: np.ndarray
     col_sums: np.ndarray
-    target_sum: float
-    target_css: float
     n: int
+    rhs: np.ndarray
+    target_sum: tuple
+    target_css: tuple
 
 
-def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> list:
-    """One :class:`TrialStats` per stimulus, on one shared design.
+def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> TrialStats:
+    """The :class:`TrialStats` of one recording, with one target per stimulus.
 
     The design, its Gram and its column sums are built once for the
     recording; each stimulus is truncated to the design's valid rows.
@@ -213,34 +225,32 @@ def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> list:
         If a stimulus disagrees with the recording in rate or length.
     """
     for s in stimuli:
-        if s.rate_hz != r.rate_hz:
-            raise ShapeMismatch(f"stimulus rate {s.rate_hz} != recording rate {r.rate_hz}")
-        if len(s) != r.n_samples:
-            raise ShapeMismatch(f"stimulus length {len(s)} != recording length {r.n_samples}")
+        check_stimulus(r, s)
     design = build_design(r, w)
-    gram = design.T @ design
-    col_sums = design.sum(axis=0)
     valid = lag_valid_slice(r.n_samples, w)
-    out = []
-    for s in stimuli:
-        target = s.samples[valid]
-        centred = target - target.mean()
-        out.append(TrialStats(
-            gram, design.T @ target, col_sums,
-            float(target.sum()), float(np.dot(centred, centred)), target.size,
-        ))
-    return out
+    targets = [s.samples[valid] for s in stimuli]
+    centred = [t - t.mean() for t in targets]
+    return TrialStats(
+        design.T @ design, design.sum(axis=0), design.shape[0],
+        np.array([design.T @ t for t in targets]),
+        tuple(float(t.sum()) for t in targets),
+        tuple(float(np.dot(c, c)) for c in centred),
+    )
 
 
-def _held_out_rho(st: TrialStats, g: np.ndarray) -> float:
-    """Pearson correlation of the prediction D g with y, from the trial's
-    statistics: sum(p) = col_sums.g, sum(p^2) = g'Gg, sum(p y) = g'rhs."""
+def _held_out_rho(st: TrialStats, k: int, g: np.ndarray) -> float:
+    """Pearson correlation of the prediction D g with target k, from the
+    trial's statistics: sum(p) = col_sums.g, sum(p^2) = g'Gg, sum(p y) = g'rhs.
+    A constant target or prediction raises ZeroVarianceSignal with its
+    ``target`` attribute set to k."""
     sum_p = float(st.col_sums @ g)
     css_p = float(g @ st.gram @ g) - sum_p * sum_p / st.n
-    cross = float(g @ st.rhs) - sum_p * st.target_sum / st.n
-    if css_p <= 0.0 or st.target_css == 0.0:
-        raise ZeroVarianceSignal("pearson undefined for a constant signal")
-    return cross / float(np.sqrt(css_p * st.target_css))
+    cross = float(g @ st.rhs[k]) - sum_p * st.target_sum[k] / st.n
+    if css_p <= 0.0 or st.target_css[k] == 0.0:
+        error = ZeroVarianceSignal("pearson undefined for a constant signal")
+        error.target = k
+        raise error
+    return cross / float(np.sqrt(css_p * st.target_css[k]))
 
 
 def select_best_lambda(lambdas, mean_rho) -> float:
@@ -249,15 +259,16 @@ def select_best_lambda(lambdas, mean_rho) -> float:
     return lambdas[best_idx]
 
 
-def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
-    """Leave-one-trial-out ridge selection on per-trial statistics.
+def fit_decoders(stats, lambdas, w: LagWindow, channel_labels, rate_hz: float) -> list:
+    """Cross-validated ridge decoder per target of ``stats`` (one
+    :class:`TrialStats` per trial), as ``(Decoder, per-lambda mean rho)``
+    pairs in target order.
 
-    ``stats`` holds one :class:`TrialStats` per trial. Each fold solves the
-    normal equations of the other trials and scores the held-out trial's
-    Pearson correlation from its own statistics; no design matrix is
-    needed. Returns the lambda with the highest mean held-out correlation
-    (ties toward the larger lambda) and the per-lambda means in input order;
-    fewer than 2 trials raise :class:`InsufficientTrials`.
+    Leave-one-trial-out: each (fold, lambda) system ``gram_total - gram_i +
+    lambda I`` is factorised once and solved for every target, scored by the
+    held-out trial's Pearson correlation from its statistics alone. A target
+    is fit on all trials at its :func:`select_best_lambda`, one factorisation
+    per distinct lambda. Fewer than 2 trials raise InsufficientTrials.
     """
     stats = list(stats)
     lambdas = [float(v) for v in lambdas]
@@ -267,34 +278,25 @@ def cross_validate_stats(stats, lambdas) -> tuple[float, list]:
         raise ShapeMismatch("empty lambda grid")
     gram_total = sum(st.gram for st in stats)
     rhs_total = sum(st.rhs for st in stats)
-    mean_rho = []
+    curves = [[] for _ in rhs_total]
     for lam in lambdas:
-        rhos = [
-            _held_out_rho(st, _solve_normal_equations(gram_total - st.gram, rhs_total - st.rhs, lam))
-            for st in stats
-        ]
-        mean_rho.append(float(np.mean(rhos)))
-    return select_best_lambda(lambdas, mean_rho), mean_rho
-
-
-def train_pooled_stats(
-    stats, w: LagWindow, lam: float, channel_labels, rate_hz: float
-) -> Decoder:
-    """Fit one decoder on accumulated per-trial normal equations."""
-    stats = list(stats)
-    if not stats:
-        raise InsufficientTrials("no trials to train on")
-    gram = sum(st.gram for st in stats)
-    rhs = sum(st.rhs for st in stats)
-    flat = _solve_normal_equations(gram, rhs, lam)
-    weights = flat.reshape(len(channel_labels), w.n_lags).T
-    return Decoder(
-        weights=weights,
-        lag_window=w,
-        lam=float(lam),
-        channel_labels=tuple(channel_labels),
-        train_rate_hz=rate_hz,
-    )
+        folds = []
+        for st in stats:
+            cho = _factor(gram_total - st.gram, lam)
+            folds.append([
+                _held_out_rho(st, k, scipy.linalg.cho_solve(cho, rhs - st.rhs[k], check_finite=False))
+                for k, rhs in enumerate(rhs_total)
+            ])
+        for curve, rhos in zip(curves, zip(*folds)):
+            curve.append(float(np.mean(rhos)))
+    factors = {}
+    out = []
+    for rhs, curve in zip(rhs_total, curves):
+        lam = select_best_lambda(lambdas, curve)
+        if lam not in factors:
+            factors[lam] = _factor(gram_total, lam)
+        out.append((_decoder(factors[lam], rhs, w, lam, channel_labels, rate_hz), curve))
+    return out
 
 
 def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:

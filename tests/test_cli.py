@@ -8,15 +8,17 @@ import re
 import shutil
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from redflow import cli
 from redflow.analysis import RATE_KINDS, to_db
 from redflow.cli import RunConfig, config_from_dict, load_config, main
-from redflow.errors import ConfigError, DataError, ShapeMismatch, SingularSystem
+from redflow.errors import ConfigError, DataError, ShapeMismatch, SingularSystem, ZeroVarianceSignal
 from redflow.infotheory import EmbedSpec
 from redflow.synth import AadScenario, make_aad_scenario
 
@@ -425,6 +427,57 @@ class TestPipeline:
         assert main(["all", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "out")]) == 0
 
+    def test_conditions_share_each_factorisation(self, monkeypatch):
+        # one subject, both conditions: each (fold, lambda) system is
+        # factorised once, and each distinct chosen lambda once for the
+        # pooled fit (two separate fits would make 2 * (4 * 2 + 1) = 18)
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        use_cpus(monkeypatch, 1)
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
+        fitted = cli.train_decoders(config, trials, ("attended", "distractor"))
+        assert sorted(fitted) == [("s01", "attended"), ("s01", "distractor")]
+        pooled = len({dec.lam for dec, _ in fitted.values()})
+        assert pooled in (1, 2)
+        assert len(calls) == len(config.lambda_grid) * config.n_trials + pooled
+
+    def test_constant_held_out_target_names_the_condition(self):
+        # a distractor zero on the rows the decoder sees, +-1 after them: it
+        # normalises, with its mean exactly 0, and fails one target only
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
+        n, tau_max = config.n_samples, config.lag_window().tau_max
+        flat = np.r_[np.zeros(n - tau_max), np.tile([1.0, -1.0], tau_max // 2)]
+        trials[2] = replace(trials[2], distractor=trials[2].distractor.with_samples(flat))
+        with pytest.raises(ZeroVarianceSignal, match="^subject s01, distractor: pearson undefined"):
+            cli.train_decoders(config, trials, ("attended", "distractor"))
+
+    def test_rates_refuses_a_stimulus_longer_than_its_eeg(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+        for command in ("simulate", "train"):
+            assert main([command, *args]) == 0
+        stim = data / "s01" / "t002_att.csv"
+        with open(stim, "a") as fh:
+            fh.writelines(f"{(600 + i) / 64.0},0.5\n" for i in range(5))
+        capsys.readouterr()
+        assert main(["rates", *args]) == 3
+        err = capsys.readouterr().err
+        assert "subject s01, trial t002, attended: stimulus length 605 != recording length 600" in err
+        assert not (out / "rates.ndjson").exists()
+        assert main(["train", *args]) == 3
+        assert "subject s01, trial t002: stimulus length 605 != recording length 600" in (
+            capsys.readouterr().err
+        )
+
     def test_stage_idempotent(self, run_dirs):
         root, cfg_path, data, out = run_dirs
         before = strip_timestamp(out / "rates.ndjson")
@@ -478,16 +531,16 @@ def pid_of(group):
 
 
 def plant_singular(monkeypatch, subjects):
-    """Make cross-validation raise SingularSystem for the given subjects."""
-    cross_validate_stats = cli.decoder.cross_validate_stats
+    """Make decoder fitting raise SingularSystem for the given subjects."""
+    fit_decoders = cli.decoder.fit_decoders
 
-    def singular_for(stats, lambdas):
+    def singular_for(*args):
         # the calling frame trains one subject
         if sys._getframe(1).f_locals["subject"] in subjects:
             raise SingularSystem("planted")
-        return cross_validate_stats(stats, lambdas)
+        return fit_decoders(*args)
 
-    monkeypatch.setattr(cli.decoder, "cross_validate_stats", singular_for)
+    monkeypatch.setattr(cli.decoder, "fit_decoders", singular_for)
 
 
 @pytest.mark.skipif(
@@ -611,7 +664,7 @@ class TestSubjectWorkers:
             capsys.readouterr()
             assert main(["all", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 4
             errors.append(capsys.readouterr().err)
-            assert "SingularSystem: subject s02, attended: planted" in errors[-1]
+            assert "SingularSystem: subject s02: planted" in errors[-1]
             # the dataset was written in full before the subjects were read
             assert (data / "manifest.json").is_file()
             assert len([p for p in data.rglob("*") if p.is_file()]) == 1 + 3 * 4 * 6
@@ -705,7 +758,7 @@ class TestSubjectWorkers:
         def broken(*_):
             raise RuntimeError("broken solver")
 
-        monkeypatch.setattr(cli.decoder, "cross_validate_stats", broken)
+        monkeypatch.setattr(cli.decoder, "fit_decoders", broken)
         with pytest.raises(RuntimeError, match="broken solver"):
             main(["train", *args])
         assert multiprocessing.active_children() == []

@@ -10,7 +10,7 @@ import scipy.linalg
 from redflow import decoder
 from redflow.decoder import (
     Decoder,
-    cross_validate_stats,
+    fit_decoders,
     load_decoder,
     pearson,
     reconstruct,
@@ -284,25 +284,33 @@ class TestCrossValidate:
         return trials
 
     @staticmethod
-    def _stats(trials, w=LagWindow(0, 8)):
-        """The ``trial_stats`` of each (recording, target) trial."""
-        return [decoder.trial_stats(rec, [s], w)[0] for rec, s in trials]
+    def _fit(trials, lambdas, w=LagWindow(0, 8)):
+        """``fit_decoders`` on (recording, targets) trials: its one
+        (decoder, curve) pair per target."""
+        stats = [decoder.trial_stats(rec, targets, w) for rec, targets in trials]
+        return fit_decoders(stats, lambdas, w, trials[0][0].labels, 64.0)
+
+    @classmethod
+    def _cross_validate(cls, trials, lambdas):
+        """The chosen lambda and the curve of one-target trials."""
+        ((fitted, curve),) = cls._fit([(rec, [s]) for rec, s in trials], lambdas)
+        return fitted.lam, curve
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(2)
-        best, curve = cross_validate_stats(self._stats(self._trials(rng, 3)), [0.37])
+        best, curve = self._cross_validate(self._trials(rng, 3), [0.37])
         assert best == 0.37
         assert len(curve) == 1
 
     def test_needs_two_trials(self):
         rng = np.random.default_rng(2)
         with pytest.raises(InsufficientTrials):
-            cross_validate_stats(self._stats(self._trials(rng, 1)), [1.0])
+            self._cross_validate(self._trials(rng, 1), [1.0])
 
     def test_duplicate_trials_prefer_unregularized(self):
         rng = np.random.default_rng(3)
         trial = self._trials(rng, 1)[0]
-        best, curve = cross_validate_stats(self._stats([trial, trial]), [0.0, 1e6])
+        best, curve = self._cross_validate([trial, trial], [0.0, 1e6])
         assert best == 0.0
         assert curve[0] > curve[1]
 
@@ -311,7 +319,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(4)
         snr = 4.0
         trials = self._trials(rng, 8, n=4000, snr=snr)
-        best, curve = cross_validate_stats(self._stats(trials), [10.0**k for k in range(-4, 5)])
+        best, curve = self._cross_validate(trials, [10.0**k for k in range(-4, 5)])
         ceiling = np.sqrt(snr / (1.0 + snr))
         assert abs(max(curve) - ceiling) < 0.05
 
@@ -321,7 +329,7 @@ class TestCrossValidate:
         rec, s = trials[1]
         trials[1] = (rec, ts(np.ones(len(s)), label="s"))
         with pytest.raises(ZeroVarianceSignal):
-            cross_validate_stats(self._stats(trials), [1.0])
+            self._cross_validate(trials, [1.0])
 
     def test_ties_break_to_larger_lambda(self):
         from redflow.decoder import select_best_lambda
@@ -329,6 +337,31 @@ class TestCrossValidate:
         assert select_best_lambda([1.0, 10.0, 100.0], [0.5, 0.5, 0.3]) == 10.0
         assert select_best_lambda([100.0, 1.0], [0.5, 0.5]) == 100.0
         assert select_best_lambda([1.0, 10.0], [0.6, 0.5]) == 1.0
+
+    def test_two_targets_equal_two_single_target_fits(self):
+        rng = np.random.default_rng(24)
+        first, second = self._trials(rng, 4), self._trials(rng, 4)
+        grid = [10.0**k for k in range(-3, 4)]
+        # second's targets on first's recordings: one system, two targets
+        both = self._fit([(rec, [s, t]) for (rec, s), (_, t) in zip(first, second)], grid)
+        singles = [
+            self._fit([(rec, [s]) for (rec, _), (_, s) in zip(first, targets)], grid)[0]
+            for targets in (first, second)
+        ]
+        assert len(both) == 2
+        for (got, got_curve), (want, want_curve) in zip(both, singles):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.lam == want.lam and got_curve == want_curve
+            assert (got.lag_window, got.channel_labels) == (want.lag_window, want.channel_labels)
+
+    def test_constant_held_out_target_names_its_index(self):
+        rng = np.random.default_rng(22)
+        trials = [(rec, [s, s]) for rec, s in self._trials(rng, 3)]
+        rec, (s, _) = trials[1]
+        trials[1] = (rec, [s, ts(np.ones(len(s)), label="s")])
+        with pytest.raises(ZeroVarianceSignal) as caught:
+            self._fit(trials, [1.0])
+        assert caught.value.target == 1
 
 
 class TestSufficientStatistics:
@@ -341,12 +374,12 @@ class TestSufficientStatistics:
                 train_rec = recording([rng.standard_normal(n) for _ in range(k)])
                 test_rec = recording([rng.uniform(-1, 1) + rng.standard_normal(n) for _ in range(k)])
                 stim = ts(rng.uniform(-1, 1) + rng.standard_normal(n), label="s")
-                (held,) = decoder.trial_stats(test_rec, [stim], w)
+                held = decoder.trial_stats(test_rec, [stim], w)
                 for lam in (0.0, 1e-3, 1.0, 1e3):
                     g = train(train_rec, ts(rng.standard_normal(n), label="s"), w, lam).flat_weights
                     prediction = ts(decoder.build_design(test_rec, w) @ g)
                     expected = pearson(prediction, ts(stim.samples[lag_valid_slice(n, w)]))
-                    assert abs(decoder._held_out_rho(held, g) - expected) < 1e-12
+                    assert abs(decoder._held_out_rho(held, 0, g) - expected) < 1e-12
 
     def test_two_stimuli_equal_two_single_calls(self):
         rng = np.random.default_rng(23)
@@ -354,11 +387,15 @@ class TestSufficientStatistics:
         stims = [ts(rng.standard_normal(500), label=f"s{i}") for i in range(2)]
         w = LagWindow(-2, 6)
         both = decoder.trial_stats(rec, stims, w)
-        for got, s in zip(both, stims):
-            (want,) = decoder.trial_stats(rec, [s], w)
-            for field in ("gram", "rhs", "col_sums"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
-            assert (got.target_sum, got.target_css, got.n) == (want.target_sum, want.target_css, want.n)
+        assert both.rhs.shape == (2, 3 * w.n_lags)
+        for k, s in enumerate(stims):
+            want = decoder.trial_stats(rec, [s], w)
+            for field in ("gram", "col_sums"):
+                assert np.array_equal(getattr(both, field), getattr(want, field))
+            assert np.array_equal(both.rhs[k], want.rhs[0])
+            assert (both.target_sum[k], both.target_css[k], both.n) == (
+                want.target_sum[0], want.target_css[0], want.n
+            )
 
 
 class TestSerialization:
