@@ -248,11 +248,14 @@ def _stimulus(trial: synth.TrialData, condition: str) -> signals.TimeSeries:
 
 
 @contextmanager
-def _context(where: str):
-    """Re-raise a package error with ``where`` (the trial's identity) in front."""
+def _context(where: str, conditions=()):
+    """Re-raise a package error with ``where`` (a subject's or trial's identity)
+    in front, then ``, <condition>`` if its ``target`` indexes ``conditions``."""
     try:
         yield
     except RedflowError as exc:
+        if conditions and hasattr(exc, "target"):
+            where = f"{where}, {conditions[exc.target]}"
         raise type(exc)(f"{where}: {exc}") from exc
 
 
@@ -328,10 +331,9 @@ def _map_groups(fn, args, groups) -> list:
         return [result() for result in results]
 
 
-def _train_subject(config: RunConfig, conditions, group, prepared=None) -> dict:
+def _train_subject(config: RunConfig, conditions, group) -> dict:
     """Decoders of one ``(subject, trials)`` group (see :func:`train_decoders`),
-    each condition one target of the subject's ridge system; each trial's
-    prepared EEG is appended to ``prepared`` if given."""
+    each condition one target of the subject's ridge system."""
     subject, subject_trials = group
     window = config.lag_window()
     stats = []
@@ -340,13 +342,8 @@ def _train_subject(config: RunConfig, conditions, group, prepared=None) -> dict:
             eeg = _prep_eeg(config, trial.eeg)
             stims = [signals.normalize(_stimulus(trial, c)) for c in conditions]
             stats.append(decoder.trial_stats(eeg, stims, window))
-        if prepared is not None:
-            prepared.append(eeg)
-    try:
+    with _context(f"subject {subject}", conditions):  # the shared system's, or one target's error
         fits = decoder.fit_decoders(stats, config.lambda_grid, window, eeg.labels, config.rate_hz)
-    except RedflowError as exc:  # the shared system's, or one target's (a constant one)
-        where = f", {conditions[exc.target]}" if hasattr(exc, "target") else ""
-        raise type(exc)(f"subject {subject}{where}: {exc}") from exc
     return {(subject, condition): fit for condition, fit in zip(conditions, fits)}
 
 
@@ -365,9 +362,9 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     return out
 
 
-def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared=None) -> list:
-    """Rate records of one ``(subject, trials)`` group (see
-    :func:`compute_rates`), reusing ``prepared`` EEG if given."""
+def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
+    """Rate records of one ``(subject, trials)`` group (see :func:`compute_rates`),
+    each condition one (stimulus, reconstruction) pair of a trial's one bound call."""
     subject, subject_trials = group
     window = config.lag_window()
     embed = config.embed()
@@ -375,13 +372,14 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared
         if (subject, condition) not in decoders:
             raise DataError(f"no decoder for subject {subject}, {condition}")
     records = []
-    for i, trial in enumerate(subject_trials):
+    for trial in subject_trials:
         where = f"subject {subject}, trial {trial.trial_id}"
         with _context(where):
-            eeg = _prep_eeg(config, trial.eeg) if prepared is None else prepared[i]
+            eeg = _prep_eeg(config, trial.eeg)
             valid = signals.lag_valid_slice(eeg.n_samples, window)
             electrodes = replace(eeg, samples=eeg.samples[:, valid])
         n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
+        rated = []
         for condition in conditions:
             dec, _ = decoders[(subject, condition)]
             with _context(f"{where}, {condition}"):
@@ -390,8 +388,7 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared
                 decoder.check_stimulus(eeg, stim)
                 stim = signals.normalize(stim.with_samples(stim.samples[valid]))
                 rho = decoder.pearson(shat, stim)
-                records.append({
-                    **directed_redundancy_bound(stim, electrodes, shat, embed).to_dict(),
+                rated.append((stim, shat, {
                     "condition": condition,
                     "subject_id": subject,
                     "trial_id": trial.trial_id,
@@ -400,16 +397,18 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group, prepared
                     "distortion": analysis.distortion(rho),
                     "lambda": dec.lam,
                     "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
-                })
+                }))
+        stims, shats, rests = zip(*rated)
+        with _context(where, conditions):
+            bundles = directed_redundancy_bound(stims, electrodes, shats, embed)
+        records.extend({**bundle.to_dict(), **rest} for bundle, rest in zip(bundles, rests))
     return records
 
 
 def _fit_and_rate(config: RunConfig, conditions, group) -> tuple[dict, list]:
-    """Decoders and rate records of one ``(subject, trials)`` group: training,
-    then rating, with each trial's EEG prepared once for both."""
-    prepared = []
-    decoders = _train_subject(config, conditions, group, prepared)
-    return decoders, _rate_subject(config, decoders, conditions, group, prepared)
+    """Decoders and rate records of one ``(subject, trials)`` group, trained then rated."""
+    decoders = _train_subject(config, conditions, group)
+    return decoders, _rate_subject(config, decoders, conditions, group)
 
 
 def report_cells(records) -> dict:

@@ -66,23 +66,24 @@ def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
     (k, dim, dim) stack in [C, X, Y] column order: the one covariance solve.
 
     A DegenerateCovariance names the first matrix that is not finite, or else
-    the first with lambda_min < _RANK_RTOL * lambda_max; past these checks
-    both Cholesky factorisations succeed. The last dy rows of the Cholesky
-    factor L hold both residual covariances: Cov(Y | C, X) = L_YY L_YY' and
-    Cov(Y | C) = L_YX L_YX' + L_YY L_YY', so
-    I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one more dy x dy
-    factorisation and no difference of large log-determinants.
+    the first with lambda_min < _RANK_RTOL * lambda_max, with its position
+    in the stack as ``index``; past these checks both Cholesky factorisations
+    succeed. The last dy rows of the Cholesky factor L hold both residual
+    covariances: Cov(Y | C, X) = L_YY L_YY' and Cov(Y | C) = L_YX L_YX' +
+    L_YY L_YY', so I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one
+    more dy x dy factorisation and no difference of large log-determinants.
     """
     finite = np.isfinite(covs).all(axis=(1, 2))
-    if not finite.all():
-        raise DegenerateCovariance(f"covariance of {names[int(np.argmin(finite))]} is not finite")
-    eigs = np.linalg.eigvalsh(covs)
-    bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
+    why, bad = "is not finite", ~finite
+    if finite.all():
+        eigs = np.linalg.eigvalsh(covs)
+        bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
+        why = ("is numerically rank-deficient; "
+               "the Gaussian information quantity diverges (deterministic dependence?)")
     if bad.any():
-        raise DegenerateCovariance(
-            f"covariance of {names[int(np.argmax(bad))]} is numerically rank-deficient; "
-            "the Gaussian information quantity diverges (deterministic dependence?)"
-        )
+        error = DegenerateCovariance(f"covariance of {names[int(np.argmax(bad))]} {why}")
+        error.index = int(np.argmax(bad))
+        raise error
     rows = np.linalg.cholesky(covs)[:, -dy:]
     l_yx, l_yy = rows[:, :, -dx - dy : -dy], rows[:, :, -dy:]
     l_y_c = np.linalg.cholesky(l_yx @ l_yx.transpose(0, 2, 1) + l_yy @ l_yy.transpose(0, 2, 1))
@@ -184,8 +185,8 @@ def transfer_entropies(x: np.ndarray, pairs, e: EmbedSpec, names) -> np.ndarray:
     fixed index, so its value does not depend on the other rows passed.
     The checks and factorisations of :func:`_cmi_bits` run batched over the
     pairs. Raises as :func:`transfer_entropy` does, but the caller checks
-    lengths and rates; a ``DegenerateCovariance`` names the first
-    degenerate pair as ``source->target`` by the rows' ``names``.
+    lengths and rates; a ``DegenerateCovariance`` names the first degenerate
+    pair as ``source->target`` by the rows' ``names``, at ``index`` in ``pairs``.
     """
     n = x.shape[1]
     sh = e.source_history

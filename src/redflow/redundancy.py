@@ -1,10 +1,10 @@
-"""Information-rate bundle for one trial and the redundancy upper bound.
+"""Information-rate bundles for one trial and the redundancy upper bound.
 
-Three transfer-entropy rates are computed per trial: stimulus to
-reconstruction, the minimum over channels into the reconstruction, and the
-minimum from the stimulus over channels. Their minimum upper-bounds the
-information about the stimulus that the channels redundantly convey into
-the reconstruction.
+Three transfer-entropy rates are computed per (stimulus, reconstruction)
+pair: stimulus to reconstruction, the minimum over channels into the
+reconstruction, and the minimum from the stimulus over channels. Their
+minimum upper-bounds the stimulus information that the channels redundantly
+convey into the reconstruction. A trial's pairs share one kernel call.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import RedflowError, ShapeMismatch
 from .infotheory import EmbedSpec, transfer_entropies
-from .signals import MultichannelRecording, TimeSeries
+from .signals import MultichannelRecording
 
 
 @dataclass(frozen=True)
 class RateBundle:
-    """Per-trial rates in bits; the two argmin labels name the minimizing
-    channels, and ``r_min`` is their exact minimum. The trial's identity is
-    the caller's to record (see ``cli.compute_rates``)."""
+    """One pair's rates in bits, the labels of their minimizing channels, and
+    ``r_min``, their exact minimum; the trial's identity is the caller's."""
 
     r_s_to_shat: float
     r_e_to_shat: float
@@ -43,24 +42,30 @@ class RateBundle:
 
 
 def directed_redundancy_bound(
-    s: TimeSeries, electrodes: MultichannelRecording, shat: TimeSeries, e: EmbedSpec
-) -> RateBundle:
-    """All three rates, their argmin channels, and the exact minimum, from
-    one transfer-entropy kernel call; a channel tie breaks to the earliest
-    channel. A degenerate transfer entropy is named as ``S->Shat``,
-    ``<channel>->Shat`` or ``S-><channel>``."""
-    if {len(s), len(shat)} != {electrodes.n_samples} or {s.rate_hz, shat.rate_hz} != {electrodes.rate_hz}:
-        raise ShapeMismatch("S and Shat must match the electrodes in length and rate")
-    k = len(electrodes.labels)
-    pairs = [(0, 1), *((c, 1) for c in range(2, k + 2)), *((0, c) for c in range(2, k + 2))]
-    x = np.vstack((s.samples, shat.samples, electrodes.samples))
-    tes = transfer_entropies(x, pairs, e, ("S", "Shat", *electrodes.labels)).tolist()
-    into_shat, from_s = tes[1 : k + 1], tes[k + 1 :]
-    es, se = int(np.argmin(into_shat)), int(np.argmin(from_s))  # the first minimizers
-    return RateBundle(
-        r_s_to_shat=tes[0],
-        r_e_to_shat=into_shat[es],
-        r_s_to_e=from_s[se],
-        argmin_channel_e_to_shat=electrodes.labels[es],
-        argmin_channel_s_to_e=electrodes.labels[se],
-    )
+    stimuli, electrodes: MultichannelRecording, reconstructions, e: EmbedSpec
+) -> list:
+    """One :class:`RateBundle` per (stimulus, reconstruction) pair, in order,
+    from one transfer-entropy call over the rows [channels..., S_0, Shat_0,
+    S_1, ...]; no pair's rates depend on another's, and channel ties break to
+    the earliest. A degenerate TE is named ``S->Shat``, ``<channel>->Shat`` or
+    ``S-><channel>``; an error of the call has its first pair as ``target``."""
+    series = [t for pair in zip(stimuli, reconstructions) for t in pair]
+    shapes = {(len(t), t.rate_hz) for t in series}
+    if len(stimuli) != len(reconstructions) or shapes != {(electrodes.n_samples, electrodes.rate_hz)}:
+        raise ShapeMismatch("S and Shat must pair up and match the electrodes in length and rate")
+    labels, k = electrodes.labels, len(electrodes.labels)
+    pairs = [pair for s in range(k, k + len(series), 2)  # S in row s, Shat in row s + 1
+             for pair in ((s, s + 1), *((c, s + 1) for c in range(k)), *((s, c) for c in range(k)))]
+    x = np.vstack((electrodes.samples, *(t.samples for t in series)))
+    try:
+        tes = transfer_entropies(x, pairs, e, (*labels, *("S", "Shat") * len(stimuli)))
+    except RedflowError as exc:  # a degenerate covariance is one pair's, a short series all pairs'
+        exc.target = getattr(exc, "index", 0) // (2 * k + 1)
+        raise
+    bundles = []
+    for rates in tes.reshape(len(stimuli), 2 * k + 1).tolist():
+        into_shat, from_s = rates[1 : k + 1], rates[k + 1 :]
+        es, se = int(np.argmin(into_shat)), int(np.argmin(from_s))  # the first minimizers
+        bundles.append(RateBundle(r_s_to_shat=rates[0], r_e_to_shat=into_shat[es], r_s_to_e=from_s[se],
+                                  argmin_channel_e_to_shat=labels[es], argmin_channel_s_to_e=labels[se]))
+    return bundles

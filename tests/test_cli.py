@@ -448,6 +448,44 @@ class TestPipeline:
         assert pooled in (1, 2)
         assert len(calls) == len(config.lambda_grid) * config.n_trials + pooled
 
+    def test_conditions_share_each_rate_call(self, monkeypatch):
+        # one bound call and one kernel call per trial, whatever the number
+        # of conditions (one per trial and condition would make 2 * 4)
+        from redflow import redundancy
+
+        counts = {"bound": 0, "kernel": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "directed_redundancy_bound",
+                            counting("bound", redundancy.directed_redundancy_bound))
+        monkeypatch.setattr(redundancy, "transfer_entropies",
+                            counting("kernel", redundancy.transfer_entropies))
+        use_cpus(monkeypatch, 1)
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
+        conditions = ("attended", "distractor")
+        decoders = cli.train_decoders(config, trials, conditions)
+        records, _ = cli.compute_rates(config, trials, decoders, conditions)
+        assert len(records) == 2 * config.n_trials
+        assert counts == {"bound": config.n_trials, "kernel": config.n_trials}
+
+    def test_a_condition_rated_alone_equals_its_shared_rates(self):
+        # sharing a kernel call with the other condition changes no rate,
+        # argmin label or other field of a record, bit for bit
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
+        conditions = ("attended", "distractor")
+        decoders = cli.train_decoders(config, trials, conditions)
+        both, _ = cli.compute_rates(config, trials, decoders, conditions)
+        for condition in conditions:
+            alone, _ = cli.compute_rates(config, trials, decoders, (condition,))
+            assert alone == [r for r in both if r["condition"] == condition]
+
     def test_constant_held_out_target_names_the_condition(self):
         # a distractor zero on the rows the decoder sees, +-1 after them: it
         # normalises, with its mean exactly 0, and fails one target only

@@ -265,6 +265,14 @@ class TestTransferEntropiesKernel:
         with pytest.raises(DegenerateCovariance, match="S->C"):
             transfer_entropies(np.vstack((a, a)), [(0, 1)], e, ("S", "C"))
 
+    def test_degenerate_pair_carries_its_index(self):
+        rec = simulate(self.MODEL, 2_000, seed=23, rate_hz=64.0)
+        a, b, _ = rec.samples
+        pairs = [(0, 1), (1, 0), (0, 2), (2, 0)]
+        with pytest.raises(DegenerateCovariance, match="a->copy") as caught:
+            transfer_entropies(np.vstack((a, b, a)), pairs, EmbedSpec(2, 2, 1), ("a", "b", "copy"))
+        assert caught.value.index == 2
+
     def test_overflowing_pair_is_named(self):
         rec = simulate(self.MODEL, 2_000, seed=25, rate_hz=64.0)
         a, b, _ = rec.samples

@@ -55,20 +55,21 @@ class TestRateBundleType:
 
 def e_to_shat(rec, tgt, seed):
     """E->Shat minimum and argmin of the bundle, with a white-noise stimulus."""
-    b = directed_redundancy_bound(white(len(tgt), 1000 + seed, "s"), rec, tgt, EMBED)
+    [b] = directed_redundancy_bound([white(len(tgt), 1000 + seed, "s")], rec, [tgt], EMBED)
     return b.r_e_to_shat, b.argmin_channel_e_to_shat
 
 
 def s_to_e(drv, rec, seed):
     """S->E minimum and argmin of the bundle, with a white-noise reconstruction."""
-    b = directed_redundancy_bound(drv, rec, white(len(drv), 1000 + seed, "shat"), EMBED)
+    [b] = directed_redundancy_bound([drv], rec, [white(len(drv), 1000 + seed, "shat")], EMBED)
     return b.r_s_to_e, b.argmin_channel_s_to_e
 
 
 def s_to_shat(s, shat, seed):
     """S->Shat rate of the bundle, with one white-noise channel."""
     rec = MultichannelRecording(("e",), 64.0, [white(len(s), 1000 + seed, "e").samples])
-    return directed_redundancy_bound(s, rec, shat, EMBED).r_s_to_shat
+    [b] = directed_redundancy_bound([s], rec, [shat], EMBED)
+    return b.r_s_to_shat
 
 
 class TestChannelMinima:
@@ -178,7 +179,7 @@ class TestDirectedRedundancyBound:
 
     def test_min_property_exact(self):
         s, electrodes, shat = self._system(9)
-        b = directed_redundancy_bound(s, electrodes, shat, EMBED)
+        [b] = directed_redundancy_bound([s], electrodes, [shat], EMBED)
         assert b.r_min == min(b.r_s_to_shat, b.r_e_to_shat, b.r_s_to_e)
         assert b.r_min <= b.r_s_to_shat
         assert b.r_min <= b.r_e_to_shat
@@ -190,8 +191,8 @@ class TestDirectedRedundancyBound:
         for seed in range(seeds):
             s1, e1, z1 = self._system(100 + seed, coupling=0.8, n=10_000)
             s2, e2, z2 = self._system(200 + seed, coupling=0.2, n=10_000)
-            strong = directed_redundancy_bound(s1, e1, z1, EMBED)
-            weak = directed_redundancy_bound(s2, e2, z2, EMBED)
+            [strong] = directed_redundancy_bound([s1], e1, [z1], EMBED)
+            [weak] = directed_redundancy_bound([s2], e2, [z2], EMBED)
             if strong.r_min > weak.r_min:
                 wins += 1
         assert wins >= int(0.95 * seeds)
@@ -201,9 +202,15 @@ class TestDirectedRedundancyBound:
         short = s.with_samples(s.samples[:-1])
         fast = TimeSeries(shat.label, 128.0, shat.samples)
         with pytest.raises(ShapeMismatch, match="length and rate"):
-            directed_redundancy_bound(short, electrodes, shat, EMBED)
+            directed_redundancy_bound([short], electrodes, [shat], EMBED)
         with pytest.raises(ShapeMismatch, match="length and rate"):
-            directed_redundancy_bound(s, electrodes, fast, EMBED)
+            directed_redundancy_bound([s], electrodes, [fast], EMBED)
+        with pytest.raises(ShapeMismatch, match="length and rate"):
+            directed_redundancy_bound([s, shat], electrodes, [shat], EMBED)
+        with pytest.raises(ShapeMismatch, match="length and rate"):
+            directed_redundancy_bound([s], electrodes, [shat, shat], EMBED)
+        with pytest.raises(ShapeMismatch, match="length and rate"):
+            directed_redundancy_bound([], electrodes, [], EMBED)
 
 
 class TestBundleKernel:
@@ -215,7 +222,7 @@ class TestBundleKernel:
     def test_bundle_matches_the_rate_functions(self):
         for seed in range(3):
             s, electrodes, shat = self._system(20 + seed)
-            b = directed_redundancy_bound(s, electrodes, shat, EMBED)
+            [b] = directed_redundancy_bound([s], electrodes, [shat], EMBED)
             into_shat = [transfer_entropy(c, shat, EMBED) for c in electrodes.channels]
             from_s = [transfer_entropy(s, c, EMBED) for c in electrodes.channels]
             assert b.r_s_to_shat == transfer_entropy(s, shat, EMBED)
@@ -232,7 +239,7 @@ class TestBundleKernel:
         for chans in ((x, x), (x, y, x), (y, x, x)):
             labels = tuple(f"c{i}" for i in range(len(chans)))
             rec = MultichannelRecording(labels, 64.0, [c.samples for c in chans])
-            b = directed_redundancy_bound(s, rec, shat, EMBED)
+            [b] = directed_redundancy_bound([s], rec, [shat], EMBED)
             into_shat = [transfer_entropy(c, shat, EMBED) for c in rec.channels]
             from_s = [transfer_entropy(s, c, EMBED) for c in rec.channels]
             copies = [i for i, c in enumerate(chans) if c is x]
@@ -244,9 +251,37 @@ class TestBundleKernel:
     def test_reconstruction_equal_to_stimulus_names_the_pair(self):
         s, electrodes, _ = self._system(24)
         with pytest.raises(DegenerateCovariance, match="S->Shat"):
-            directed_redundancy_bound(s, electrodes, s.with_samples(s.samples, label="shat"), EMBED)
+            directed_redundancy_bound([s], electrodes, [s.with_samples(s.samples, label="shat")], EMBED)
+
+    def test_two_pair_call_equals_two_one_pair_calls(self):
+        # values and argmin labels alike, bit for bit: a pair's rates do not
+        # depend on the other pair rated over the same channels
+        s, electrodes, shat = self._system(25, n=5_000)
+        other = (white(len(s), 26, "s2"), shat.with_samples(s.samples + shat.samples))
+        both = directed_redundancy_bound([s, other[0]], electrodes, [shat, other[1]], EMBED)
+        alone = [
+            *directed_redundancy_bound([s], electrodes, [shat], EMBED),
+            *directed_redundancy_bound([other[0]], electrodes, [other[1]], EMBED),
+        ]
+        assert [b.to_dict() for b in both] == [b.to_dict() for b in alone]
+        assert both[0] != both[1]
+
+    def test_degenerate_second_pair_names_its_index(self):
+        s, electrodes, shat = self._system(27, n=5_000)
+        copy = s.with_samples(s.samples, label="shat")
+        with pytest.raises(DegenerateCovariance, match="S->Shat") as caught:
+            directed_redundancy_bound([s, s], electrodes, [shat, copy], EMBED)
+        assert caught.value.target == 1
 
     def test_cli_exits_4_naming_trial_and_pair(self, tmp_path, capsys):
+        self._cli_exits_4_naming_trial_and_pair(tmp_path, capsys, "attended", "att")
+
+    def test_cli_exits_4_naming_the_distractor_pair(self, tmp_path, capsys):
+        # `rates` rates both conditions in one call per trial: the distractor
+        # is the call's second pair, and the error's target maps to it
+        self._cli_exits_4_naming_trial_and_pair(tmp_path, capsys, "distractor", "dst")
+
+    def _cli_exits_4_naming_trial_and_pair(self, tmp_path, capsys, condition, role):
         config = {
             "config_version": 1,
             "seed": 5,
@@ -261,24 +296,26 @@ class TestBundleKernel:
         args = ["--config", str(cfg_path), "--data", str(data)]
         assert main(["simulate", *args]) == 0
         assert main(["train", *args, "--out", str(out)]) == 0
-        # a decoder that copies its first channel at lag 0, and an attended
-        # stimulus equal to that channel: the reconstruction is the stimulus
-        dec_path = out / "decoders" / "s01_attended.json"
+        # a decoder that copies its first channel at lag 0, and a stimulus
+        # of its condition equal to that channel: the reconstruction is the
+        # stimulus
+        dec_path = out / "decoders" / f"s01_{condition}.json"
         doc = json.loads(dec_path.read_text())
         doc["weights"] = [[float(i == 0 and c == 0) for c in range(len(row))]
                           for i, row in enumerate(doc["weights"])]
         dec_path.write_text(json.dumps(doc))
         eeg_lines = (data / "s01" / "t001_eeg.csv").read_text().splitlines()
         col = eeg_lines[0].split(",").index(doc["channel_labels"][0])
-        att_path = data / "s01" / "t001_att.csv"
-        att_lines = att_path.read_text().splitlines()
-        att_path.write_text("\n".join(
-            [att_lines[0]] + [f"{a.split(',')[0]},{e.split(',')[col]}"
-                              for a, e in zip(att_lines[1:], eeg_lines[1:])]
+        stim_path = data / "s01" / f"t001_{role}.csv"
+        stim_lines = stim_path.read_text().splitlines()
+        stim_path.write_text("\n".join(
+            [stim_lines[0]] + [f"{a.split(',')[0]},{e.split(',')[col]}"
+                               for a, e in zip(stim_lines[1:], eeg_lines[1:])]
         ) + "\n")
         capsys.readouterr()
         assert main(["rates", *args, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "DegenerateCovariance" in err
-        for part in ("subject s01", "trial t001", "attended", "S->Shat"):
+        for part in ("subject s01", "trial t001", condition, "S->Shat"):
             assert part in err
+        assert f"subject s01, trial t001, {condition}: covariance of TE S->Shat" in err
