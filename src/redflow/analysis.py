@@ -27,7 +27,9 @@ from .errors import (
     ZeroVarianceSignal,
 )
 
-RATE_KINDS = ("S_to_Shat", "E_to_Shat", "S_to_E", "Rmin")
+#: The rate record key behind each rate kind: the one kind -> key table.
+RATE_KEYS = {"S_to_Shat": "r_s_to_shat", "E_to_Shat": "r_e_to_shat", "S_to_E": "r_s_to_e", "Rmin": "r_min"}
+RATE_KINDS = tuple(RATE_KEYS)
 #: The stimulus a decoder reconstructs: the attended or the distracting talker.
 CONDITIONS = ("attended", "distractor")
 

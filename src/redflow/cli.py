@@ -13,11 +13,14 @@ Stages (each resumable from the previous stage's files):
 
 The computations are pure functions of in-memory trials
 (:func:`train_decoders`, :func:`compute_rates`, :func:`build_report`); the
-stages wrap them with CSV/JSON input and output. ``analyze_scenario`` runs
-the whole chain in memory for a simulated scenario, generating each subject
-in the task that trains and rates it. Each subject is trained and rated,
-and each trial's files written, on its own, in one pool of forked worker
-processes per command where more than one CPU is usable (:func:`_pool`).
+stages wrap them with CSV/JSON input and output. A (trial, condition)'s rate
+record is its :class:`~redflow.redundancy.RateBundle` plus the trial's
+identity and decoding fields; ``analysis.RATE_KEYS`` names each rate kind's
+key. ``analyze_scenario`` runs the whole chain in memory for a simulated
+scenario, generating each subject in the task that trains and rates it.
+Each subject is trained and rated, and each trial's files written, on its
+own, in one pool of forked worker processes per command where more than
+one CPU is usable (:func:`_pool`).
 Each file is written by exactly one process; the parent writes the dataset
 manifest and every file under the output directory, so outputs do not
 depend on the worker count.
@@ -54,7 +57,7 @@ import numpy as np
 
 from . import analysis, decoder, signals, synth
 from .errors import ConfigError, DataError, NoPoints, NumericalError, RedflowError, TooFewSamples
-from .infotheory import EmbedSpec, _te_columns, plug_in_bias
+from .infotheory import EmbedSpec
 from .redundancy import directed_redundancy_bound
 from .signals import LEFT_TEMPORAL_LABELS, LagWindow
 
@@ -227,11 +230,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 _STIM_SUFFIX = {"attended": "att", "distractor": "dst"}
 
-#: The rate record key behind each rate kind, in ``RATE_KINDS`` order.
-_RATE_KEYS = {
-    "S_to_Shat": "r_s_to_shat", "E_to_Shat": "r_e_to_shat", "S_to_E": "r_s_to_e", "Rmin": "r_min",
-}
-
 
 def _prep_eeg(config: RunConfig, eeg: signals.MultichannelRecording):
     """Channel subset in configured order, each channel normalized; the
@@ -364,7 +362,8 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
 
 def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
     """Rate records of one ``(subject, trials)`` group (see :func:`compute_rates`),
-    each condition one (stimulus, reconstruction) pair of a trial's one bound call."""
+    each condition one (stimulus, reconstruction) pair of a trial's one bound
+    call: its rate bundle, with the trial's identity and decoding fields added."""
     subject, subject_trials = group
     window = config.lag_window()
     embed = config.embed()
@@ -378,7 +377,6 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
             eeg = _prep_eeg(config, trial.eeg)
             valid = signals.lag_valid_slice(eeg.n_samples, window)
             electrodes = replace(eeg, samples=eeg.samples[:, valid])
-        n_te_rows = electrodes.n_samples - _te_columns(embed)[0] + 1
         rated = []
         for condition in conditions:
             dec, _ = decoders[(subject, condition)]
@@ -392,11 +390,9 @@ def _rate_subject(config: RunConfig, decoders: dict, conditions, group) -> list:
                     "condition": condition,
                     "subject_id": subject,
                     "trial_id": trial.trial_id,
-                    "embed": embed.to_dict(),
                     "rho": rho,
                     "distortion": analysis.distortion(rho),
                     "lambda": dec.lam,
-                    "plug_in_bias_bits": plug_in_bias(n_te_rows, embed.source_history),
                 }))
         stims, shats, rests = zip(*rated)
         with _context(where, conditions):
@@ -413,7 +409,7 @@ def _fit_and_rate(config: RunConfig, conditions, group) -> tuple[dict, list]:
 
 def report_cells(records) -> dict:
     """``{(rate kind, condition): (rates, distortions)}``: each cell's rates
-    (the record key :data:`_RATE_KEYS` names) and distortions, as float64
+    (the record key ``analysis.RATE_KEYS`` names) and distortions, as float64
     arrays in record order. Cells run by kind, then by condition in order of
     first appearance."""
     by_condition = {}
@@ -424,7 +420,7 @@ def report_cells(records) -> dict:
             np.array([r[key] for r in rows], dtype=np.float64),
             np.array([r["distortion"] for r in rows], dtype=np.float64),
         )
-        for kind, key in _RATE_KEYS.items()
+        for kind, key in analysis.RATE_KEYS.items()
         for condition, rows in by_condition.items()
     }
 
@@ -545,12 +541,10 @@ def _write_with_meta(path: Path, meta: dict, lines) -> None:
             fh.write(line + "\n")
 
 
-def cmd_simulate(config: RunConfig, data_dir) -> list:
-    """Generate the synthetic dataset, write it as CSV/JSON per trial, and
-    return the trials written."""
+def cmd_simulate(config: RunConfig, data_dir) -> None:
+    """Generate the synthetic dataset and write it as CSV/JSON per trial."""
     trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
     _write_dataset(config, Path(data_dir), trials)
-    return trials
 
 
 def _write_trial(data_dir: Path, stamp: dict, trial: synth.TrialData) -> None:
@@ -703,15 +697,16 @@ def _require_decoder_fits(config: RunConfig, path, dec: decoder.Decoder) -> None
 
 
 def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
-    """Reconstruct, correlate, and compute the rate bundle per trial."""
+    """Reconstruct, correlate, and rate each trial; each decoder file is parsed once."""
     out_dir = Path(out_dir)
     trials, data_hash = load_trials(data_dir)
     decoders = {}
     for subject in sorted({t.subject_id for t in trials}):
         for condition in conditions:
             path = _decoder_path(out_dir, subject, condition)
-            _require_config_hash(config, path, signals.read_json(path).get("meta"))
-            dec = decoder.load_decoder(path)
+            doc = signals.read_json(path)
+            _require_config_hash(config, path, doc.get("meta"))
+            dec = decoder.decoder_from_doc(doc, path)
             _require_decoder_fits(config, path, dec)
             decoders[(subject, condition)] = (dec, None)
     records, _ = compute_rates(config, trials, decoders, conditions)
@@ -720,7 +715,7 @@ def cmd_rates(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIO
 
 def _write_rates(config: RunConfig, out_dir: Path, records, data_hash) -> None:
     """rates.ndjson, and rd_points.ndjson: one line per record and rate kind
-    (``RATE_KINDS`` order), ``distortion_db`` null at zero distortion."""
+    (``analysis.RATE_KEYS`` order), ``distortion_db`` null at zero distortion."""
     meta = _run_meta(config, data_hash)
     _write_with_meta(
         out_dir / "rates.ndjson", meta,
@@ -735,7 +730,7 @@ def _write_rates(config: RunConfig, out_dir: Path, records, data_hash) -> None:
                 "rate": r[key],
                 "rate_kind": kind,
             }, sort_keys=True)
-            for r in records for kind, key in _RATE_KEYS.items()
+            for r in records for kind, key in analysis.RATE_KEYS.items()
         ],
     )
 
@@ -763,7 +758,7 @@ def read_rates(path) -> tuple[dict, list]:
             if lineno == 1:
                 meta = doc
                 continue
-            for key in (*_RATE_KEYS.values(), "distortion"):
+            for key in (*analysis.RATE_KEYS.values(), "distortion"):
                 value = doc[key] = signals.json_number(doc[key])
                 if not 0.0 <= value < np.inf:
                     raise ValueError(f"{key} must be finite and >= 0, got {value}")
@@ -820,12 +815,6 @@ def cmd_all(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _conditions(which: str) -> tuple:
-    if which == "both":
-        return analysis.CONDITIONS
-    return (which,)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redflow",
@@ -857,7 +846,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
-        conditions = _conditions(args.condition)
+        conditions = analysis.CONDITIONS if args.condition == "both" else (args.condition,)
         if args.command == "simulate":
             cmd_simulate(config, args.data)
         elif args.command == "train":

@@ -322,7 +322,11 @@ def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:
 
 def load_decoder(path) -> Decoder:
     """Read a decoder written by :func:`save_decoder`."""
-    doc = read_json(path)
+    return decoder_from_doc(read_json(path), path)
+
+
+def decoder_from_doc(doc: dict, path) -> Decoder:
+    """The decoder of a parsed :func:`save_decoder` document read from ``path``."""
     if doc.get("format_version") != DECODER_FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported decoder format version {doc.get('format_version')!r}"

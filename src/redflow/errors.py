@@ -15,7 +15,7 @@ class ZeroVarianceSignal(NumericalError):
 
 
 class InvalidRate(RedflowError):
-    """Requested sample rate violates the Nyquist or integer-factor constraint."""
+    """A sample rate is not a finite number > 0."""
 
 
 class WindowTooLarge(RedflowError):

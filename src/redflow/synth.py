@@ -122,8 +122,6 @@ def _exact_gaussian_cmi_bits(cov: np.ndarray, dx: int, dy: int) -> float:
     ic = np.arange(dx + dy, dim)
 
     def logdet(idx):
-        if idx.size == 0:
-            return 0.0
         sign, ld = np.linalg.slogdet(cov[np.ix_(idx, idx)])
         if sign <= 0 or not math.isfinite(ld):
             raise DegenerateCovariance("exact covariance is singular")

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from redflow import cli
-from redflow.analysis import RATE_KINDS, to_db
+from redflow.analysis import RATE_KEYS, RATE_KINDS, to_db
 from redflow.cli import RunConfig, config_from_dict, load_config, main
 from redflow.errors import ConfigError, DataError, ShapeMismatch, SingularSystem, ZeroVarianceSignal
 from redflow.infotheory import EmbedSpec
@@ -149,6 +149,12 @@ MALFORMED_INPUTS = {
     "decoder-infinite-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=float("inf"))),
     "decoder-zero-rate": ("rates", DECODER, None, lambda t: set_keys(t, rate_hz=0.0)),
     "decoder-without-hash": ("rates", DECODER, None, lambda t: set_keys(t, meta=None)),
+    "manifest-other-schema": ("train", "data/manifest.json", None, lambda t: set_keys(t, schema_version=2)),
+}
+
+#: case -> a part of its error message, for MALFORMED_INPUTS cases that pin one
+MALFORMED_MESSAGES = {
+    "manifest-other-schema": "manifest.json: unsupported schema_version",
 }
 
 
@@ -203,6 +209,11 @@ class TestConfig:
             {"bin_width_bits": 0.005, "bin_stride_bits": 0.02},
             {"lag_window_ms": [0, 1e308]},
             {"rate_hz": 1e308},
+            {"kde_level": -1},
+            {"bin_width_bits": 0},
+            {"lambda_grid": [-1.0]},
+            {"lag_window_ms": [10, 0]},
+            {"lag_window_ms": [0]},
         ],
         ids=repr,
     )
@@ -312,6 +323,33 @@ class TestPipeline:
         kinds = {json.loads(l)["rate_kind"] for l in lines}
         assert kinds == {"S_to_Shat", "E_to_Shat", "S_to_E", "Rmin"}
 
+    def test_rate_keys_are_the_one_kind_table(self, run_dirs):
+        # the rate kinds are the table's keys, in order, and each kind's key
+        # is a key of every written record
+        _, _, _, out = run_dirs
+        assert RATE_KINDS == tuple(RATE_KEYS)
+        for line in read_nonmeta_lines(out / "rates.ndjson"):
+            assert set(RATE_KEYS.values()) <= json.loads(line).keys()
+
+    def test_rates_parses_each_decoder_file_once(self, run_dirs, monkeypatch):
+        # the config hash and the decoder are both read from one parse
+        from redflow import decoder, signals
+
+        _, cfg_path, data, out = run_dirs
+        parsed = []
+        read_json = signals.read_json
+
+        def counting(path):
+            parsed.append(Path(path))
+            return read_json(path)
+
+        for module in (signals, decoder):
+            monkeypatch.setattr(module, "read_json", counting)
+        assert main(["rates", "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 0
+        decoders = sorted(p.name for p in parsed if p.parent.name == "decoders")
+        assert decoders == sorted(p.name for p in (out / "decoders").glob("*.json"))
+        assert len(decoders) == 4
+
     def test_report_reads_the_rate_records(self, run_dirs, tmp_path):
         # report needs no rd_points.ndjson: it reads rates.ndjson, and each
         # record's four rd_points.ndjson lines are written from the record
@@ -322,7 +360,7 @@ class TestPipeline:
         for i, record in enumerate(records):
             for kind, point in zip(RATE_KINDS, points[4 * i : 4 * i + 4]):
                 assert point["rate_kind"] == kind
-                assert point["rate"] == record[cli._RATE_KEYS[kind]]
+                assert point["rate"] == record[RATE_KEYS[kind]]
                 for key in ("distortion", "condition", "subject_id", "trial_id"):
                     assert point[key] == record[key], key
                 assert point["distortion_db"] == to_db(record["distortion"])
@@ -915,8 +953,70 @@ class TestPipelineVariants:
         assert main([command, *args]) == 3
         err = capsys.readouterr().err
         assert path.name in err
+        assert MALFORMED_MESSAGES.get(case, "") in err
         if name == RATES:
             assert f"line {lineno}:" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kde_level": -1}, "kde_level must be >= 0"),
+        ({"bin_width_bits": 0}, "bin widths must be > 0"),
+        ({"lambda_grid": [-1.0]}, "lambda_grid values must be >= 0"),
+        ({"lag_window_ms": [10, 0]}, "lag_window_ms must be (lo, hi), got (10.0, 0.0)"),
+        ({"lag_window_ms": [0]}, "lag_window_ms must be (lo, hi), got (0.0,)"),
+        ({"embed": 3}, "embed must be a JSON object"),
+    ], ids=repr)
+    def test_config_refusal_exit_code_and_message(self, tmp_path, capsys, doc, message):
+        path = write_config(tmp_path, doc=doc)
+        assert main(["simulate", "--config", str(path), "--data", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("case", ["subject-directory", "subject-trials", "rates-file", "rates-header"])
+    def test_missing_input_exit_code_and_message(self, tmp_path, capsys, case):
+        cfg_path = write_config(tmp_path)
+        data, out = tmp_path / "data", tmp_path / "out"
+        args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+        assert main(["all", *args]) == 0
+        if case == "subject-directory":
+            shutil.rmtree(data / "s02")
+            command, message = "train", f"missing subject directory: {data / 's02'}"
+        elif case == "subject-trials":
+            for path in (data / "s02").glob("*_eeg.csv"):
+                path.unlink()
+            command, message = "rates", f"no trials found under {data / 's02'}"
+        elif case == "rates-file":
+            (out / "rates.ndjson").unlink()
+            command, message = "report", f"rate records not found: {out / 'rates.ndjson'}"
+        else:
+            rates = out / "rates.ndjson"
+            rates.write_text(rates.read_text().removeprefix("# meta "))
+            command, message = "report", f"{rates}: missing metadata header line"
+        capsys.readouterr()
+        assert main([command, *args]) == 3
+        assert capsys.readouterr().err == f"data error: DataError: {message}\n"
+
+    def test_too_few_trials_is_a_fits_error(self, tmp_path):
+        # one subject with 4 trials gives each cell 4 points: every cell is an
+        # error entry, and the run still succeeds
+        doc = {**TINY, "scenario": {**TINY["scenario"], "n_subjects": 1}}
+        cfg_path = write_config(tmp_path, doc=doc)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text())["fits"]
+        assert fits == {
+            kind: {c: {"error": f"TooFewSamples: {kind}/{c}: need >= 5 points, got 4"}
+                   for c in ("attended", "distractor")}
+            for kind in RATE_KINDS
+        }
+
+    def test_compute_rates_needs_every_decoder(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        config = config_from_dict(TINY)
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
+        decoders = cli.train_decoders(config, trials, ("distractor",))
+        with pytest.raises(DataError, match="^no decoder for subject s01, attended$"):
+            cli.compute_rates(config, trials, decoders, ("attended", "distractor"))
 
     def test_manifest_without_trial_count_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

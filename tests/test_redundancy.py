@@ -7,7 +7,7 @@ import pytest
 
 from redflow.cli import main
 from redflow.errors import DegenerateCovariance, ShapeMismatch
-from redflow.infotheory import EmbedSpec, plug_in_bias, transfer_entropy
+from redflow.infotheory import EmbedSpec, plug_in_bias, te_blocks, transfer_entropy
 from redflow.redundancy import RateBundle, directed_redundancy_bound
 from redflow.signals import MultichannelRecording, TimeSeries
 from redflow.synth import VarModel, analytic_te, simulate
@@ -34,6 +34,7 @@ def bundle(r_s_to_shat, r_e_to_shat, r_s_to_e):
     return RateBundle(
         r_s_to_shat=r_s_to_shat, r_e_to_shat=r_e_to_shat, r_s_to_e=r_s_to_e,
         argmin_channel_e_to_shat="a", argmin_channel_s_to_e="b",
+        plug_in_bias_bits=0.001, embed=EMBED,
     )
 
 
@@ -196,6 +197,23 @@ class TestDirectedRedundancyBound:
             if strong.r_min > weak.r_min:
                 wins += 1
         assert wins >= int(0.95 * seeds)
+
+    def test_bundle_carries_its_bias_and_embedding(self):
+        # the bias of one TE over the kernel's rows, n - width + 1 with the
+        # window spanning the deepest block, for every pair of the call
+        n = 2_000
+        s, electrodes, shat = self._system(11, n=n)
+        for e in (EMBED, EmbedSpec(source_history=3, target_history=5, delay=2)):
+            width = max(e.delay + e.source_history - 1, e.target_history) + 1
+            rows = te_blocks(s.samples, shat.samples, e)[0].shape[0]
+            assert rows == n - width + 1
+            other = (white(n, 12, "s2"), shat.with_samples(s.samples + shat.samples))
+            bundles = directed_redundancy_bound([s, other[0]], electrodes, [shat, other[1]], e)
+            assert len(bundles) == 2
+            for b in bundles:
+                assert b.plug_in_bias_bits == plug_in_bias(rows, e.source_history)
+                assert b.embed == e
+                assert b.to_dict()["embed"] == e.to_dict()
 
     def test_series_must_match_the_electrodes(self):
         s, electrodes, shat = self._system(10, n=2_000)
