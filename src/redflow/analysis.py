@@ -10,11 +10,11 @@ summarized by an ordinary least-squares line with a slope t-test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     DegenerateX,
@@ -35,6 +35,9 @@ CONDITIONS = ("attended", "distractor")
 
 #: Grid size for density evaluation (covers min-3h .. max+3h).
 KDE_GRID_POINTS = 512
+
+#: ln Gamma(1/2).
+_LN_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,62 @@ def bin_rd(rates, distortions, width: float, stride: float) -> list:
     return out
 
 
+def _ln_beta_half(a: float) -> float:
+    """ln B(a, 1/2) = ln Gamma(a) + ln Gamma(1/2) - ln Gamma(a + 1/2)."""
+    if a < 40.0:
+        return math.lgamma(a) + _LN_SQRT_PI - math.lgamma(a + 0.5)
+    # the asymptotic series of ln Gamma(a + 1/2) - ln Gamma(a), ln(a)/2 -
+    # 1/(8a) + 1/(192a^3) - 1/(640a^5): the lgamma difference would lose
+    # |ln Gamma(a)| * eps to cancellation
+    r = 1.0 / a
+    return _LN_SQRT_PI - (0.5 * math.log(a) - r * (0.125 - r * r * (1.0 / 192.0 - r * r / 640.0)))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) / (x^a y^b / B(a, b)) for y = 1 - x and lam = (a + b) y - b
+    >= 0: the continued fraction BFRAC of DiDonato & Morris (1992, ACM TOMS
+    18, Algorithm 708). With lam formed from y it loses no digits where x is
+    close to 1, unlike the usual form, whose first term 1 - (a + b) x / (a +
+    1) cancels there (a relative error of about a * eps at x = 1 - 1/a)."""
+    c, c0, c1 = 1.0 + lam, b / a, 1.0 + 1.0 / a
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in itertools.count(1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * w * x
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * (y + 1.0))
+        p, s = 1.0 + t, s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-15 * r:
+            return r
+        # rescale so the recurrence neither overflows nor underflows
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+
+
+def _beta_half(a: float, x: float) -> float:
+    """Regularized incomplete beta ratio I_x(a, 1/2) for x in [0, 1], a > 0.
+
+    Below the mean a / (a + 1/2) of the Beta(a, 1/2) law the continued
+    fraction gives I_x(a, 1/2) directly, above it 1 - I_{1-x}(1/2, a): each
+    side then converges in a few hundred terms at most, for any a. 1 - x is
+    exact on the side that needs it (x >= 1/2).
+    """
+    if not 0.0 < x < 1.0:
+        return x  # I_0 = 0, I_1 = 1, and NaN stays NaN
+    y = 1.0 - x
+    front = math.exp(a * math.log(x) + 0.5 * math.log(y) - _ln_beta_half(a))
+    lam = (a + 0.5) * y - 0.5
+    if lam >= 0.0:
+        # past an underflowed front factor the fraction could overflow
+        return front * _beta_fraction(a, 0.5, x, y, lam) if front > 0.0 else 0.0
+    return 1.0 - front * _beta_fraction(0.5, a, y, x, -lam)
+
+
 def t_cdf(t: float, dof: int) -> float:
     """Student-t cumulative distribution via the regularized incomplete beta."""
     if dof < 1:
@@ -197,7 +256,7 @@ def t_cdf(t: float, dof: int) -> float:
     if math.isinf(t):
         return 0.0 if t < 0 else 1.0
     x = dof / (dof + t * t)
-    tail = 0.5 * float(betainc(dof / 2.0, 0.5, x))
+    tail = 0.5 * _beta_half(dof / 2.0, x)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -237,7 +296,7 @@ def fit_linear(xs, ys) -> LinearFit:
     else:
         t = slope / math.sqrt(se2)
         # identical to 2*(1 - t_cdf(|t|, dof)) but without cancellation
-        p_value = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+        p_value = _beta_half(dof / 2.0, dof / (dof + t * t))
     return LinearFit(
         slope=slope,
         intercept=intercept,

@@ -351,7 +351,7 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
     trial's design is built once, for all conditions, and only its
     sufficient statistics are kept; each subject's cross-validation
-    factorises every (fold, lambda) system once and solves it for every
+    checks every (fold, lambda) system once and solves it for each
     condition. Subjects are trained independently (:func:`_map_groups`).
     """
     out = {}

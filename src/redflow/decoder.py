@@ -9,7 +9,7 @@ all lags of channel 1, ...). No intercept is fit; both sides are expected
 zero-mean (normalize first).
 
 A trial's statistics hold one target per stimulus (:func:`trial_stats`), and
-:func:`fit_decoders` solves every target from each factorisation it makes.
+:func:`fit_decoders` solves every target of each system it builds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ChannelOrderMismatch,
@@ -89,31 +88,36 @@ def build_design(r: MultichannelRecording, w: LagWindow) -> np.ndarray:
     return view.reshape(view.shape[0], -1)
 
 
-def _factor(gram: np.ndarray, lam: float):
-    """Cholesky factor of gram + lam I, for ``scipy.linalg.cho_solve``.
+def _factor(gram: np.ndarray, lam: float) -> np.ndarray:
+    """The system gram + lam I (one per matrix of a stack of Grams), once a
+    Cholesky factorization has shown it positive definite; ``np.linalg.solve``
+    solves it.
 
-    Raises SingularSystem when lam == 0 and the Gram matrix is rank-deficient
-    beyond tolerance, or when the factorization fails (a lam too small to
+    Raises SingularSystem when lam == 0 and a Gram matrix is rank-deficient
+    beyond tolerance, or when a factorization fails (a lam too small to
     lift an exact rank deficiency). No jitter is ever added.
     """
     if lam < 0:
         raise ShapeMismatch(f"lambda must be >= 0, got {lam}")
     if lam == 0.0:
         eigs = np.linalg.eigvalsh(gram)
-        if eigs[-1] <= 0.0 or eigs[0] < _RANK_RTOL * eigs[-1]:
+        low, high = eigs[..., 0], eigs[..., -1]
+        if np.any((high <= 0.0) | (low < _RANK_RTOL * high)):
             raise SingularSystem(
                 "normal equations are rank-deficient at lambda=0 "
-                f"(relative conditioning {eigs[0] / max(eigs[-1], 1e-300):.2e})"
+                f"(relative conditioning {np.min(low / np.maximum(high, 1e-300)):.2e})"
             )
+    system = gram + lam * np.eye(gram.shape[-1])
     try:
-        return scipy.linalg.cho_factor(gram + lam * np.eye(len(gram)), lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
         raise SingularSystem(f"normal equations are not positive definite at lambda={lam!r}") from None
+    return system
 
 
-def _decoder(cho, rhs: np.ndarray, w: LagWindow, lam: float, channel_labels, rate_hz) -> Decoder:
-    """The decoder whose design-order weights solve ``cho`` for ``rhs``."""
-    flat = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+def _decoder(system, rhs: np.ndarray, w: LagWindow, lam: float, channel_labels, rate_hz) -> Decoder:
+    """The decoder whose design-order weights solve ``system`` for ``rhs``."""
+    flat = np.linalg.solve(system, rhs)
     return Decoder(flat.reshape(len(channel_labels), w.n_lags).T, w, float(lam), channel_labels, rate_hz)
 
 
@@ -265,10 +269,11 @@ def fit_decoders(stats, lambdas, w: LagWindow, channel_labels, rate_hz: float) -
     pairs in target order.
 
     Leave-one-trial-out: each (fold, lambda) system ``gram_total - gram_i +
-    lambda I`` is factorised once and solved for every target, scored by the
-    held-out trial's Pearson correlation from its statistics alone. A target
-    is fit on all trials at its :func:`select_best_lambda`, one factorisation
-    per distinct lambda. Fewer than 2 trials raise InsufficientTrials.
+    lambda I`` is checked once (:func:`_factor`, one lambda's folds as one
+    stack) and solved for each target on its own, scored by the held-out
+    trial's Pearson correlation from its statistics alone. A target is fit
+    on all trials at its :func:`select_best_lambda`, one system per distinct
+    lambda. Fewer than 2 trials raise InsufficientTrials.
     """
     stats = list(stats)
     lambdas = [float(v) for v in lambdas]
@@ -278,24 +283,25 @@ def fit_decoders(stats, lambdas, w: LagWindow, channel_labels, rate_hz: float) -
         raise ShapeMismatch("empty lambda grid")
     gram_total = sum(st.gram for st in stats)
     rhs_total = sum(st.rhs for st in stats)
+    # fold i leaves trial i out. A solve for two right-hand sides rounds
+    # differently from two solves for one, so each target is solved alone:
+    # its fit does not depend on which others share the system
+    fold_grams = np.stack([gram_total - st.gram for st in stats])
+    fold_rhs = rhs_total - np.stack([st.rhs for st in stats])
     curves = [[] for _ in rhs_total]
     for lam in lambdas:
-        folds = []
-        for st in stats:
-            cho = _factor(gram_total - st.gram, lam)
-            folds.append([
-                _held_out_rho(st, k, scipy.linalg.cho_solve(cho, rhs - st.rhs[k], check_finite=False))
-                for k, rhs in enumerate(rhs_total)
-            ])
+        systems = _factor(fold_grams, lam)
+        weights = [np.linalg.solve(systems, fold_rhs[:, k, :, None])[..., 0] for k in range(len(curves))]
+        folds = [[_held_out_rho(st, k, g[i]) for k, g in enumerate(weights)] for i, st in enumerate(stats)]
         for curve, rhos in zip(curves, zip(*folds)):
             curve.append(float(np.mean(rhos)))
-    factors = {}
+    pooled = {}
     out = []
     for rhs, curve in zip(rhs_total, curves):
         lam = select_best_lambda(lambdas, curve)
-        if lam not in factors:
-            factors[lam] = _factor(gram_total, lam)
-        out.append((_decoder(factors[lam], rhs, w, lam, channel_labels, rate_hz), curve))
+        if lam not in pooled:
+            pooled[lam] = _factor(gram_total, lam)
+        out.append((_decoder(pooled[lam], rhs, w, lam, channel_labels, rate_hz), curve))
     return out
 
 

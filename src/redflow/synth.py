@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DegenerateCovariance, ShapeMismatch, UnstableModel
 from .infotheory import LN2, EmbedSpec, _te_columns
@@ -101,8 +100,13 @@ class VarModel:
 
 
 def stationary_covariance(model: VarModel) -> np.ndarray:
-    """Solve the discrete Lyapunov equation S = A S A' + Q (symmetrised)."""
-    sigma = solve_discrete_lyapunov(model.transition, model.noise_cov)
+    """Solve the discrete Lyapunov equation S = A S A' + Q (symmetrised).
+
+    It is the linear system (I - A (x) A) vec S = vec Q, of order d^2 for a
+    d-dimensional model: meant for the few dimensions an oracle needs.
+    """
+    a, d = model.transition, model.dimension
+    sigma = np.linalg.solve(np.eye(d * d) - np.kron(a, a), model.noise_cov.reshape(-1)).reshape(d, d)
     return 0.5 * (sigma + sigma.T)
 
 

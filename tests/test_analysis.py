@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 from redflow.analysis import (
+    _beta_half,
     bin_rd,
     default_grid,
     distortion,
@@ -222,6 +223,36 @@ class TestTCdf:
     def test_bad_dof(self):
         with pytest.raises(OutOfRange):
             t_cdf(1.0, 0)
+
+    def test_tails_sum_to_one(self):
+        for dof in (1, 2, 5, 30, 1000, 100_000):
+            for t in np.logspace(-6, 6, 49).tolist():
+                assert abs(t_cdf(t, dof) + t_cdf(-t, dof) - 1.0) <= 1e-15
+
+    def test_ends_are_exact(self):
+        inf = float("inf")
+        for dof in (1, 7, 100_000):
+            assert t_cdf(-inf, dof) == 0.0 and t_cdf(inf, dof) == 1.0
+            # t * t overflows: x = 0 exactly
+            assert t_cdf(-1e200, dof) == 0.0 and t_cdf(1e200, dof) == 1.0
+            # t * t vanishes next to dof: x = 1 exactly
+            assert t_cdf(-1e-200, dof) == 0.5 == t_cdf(1e-200, dof)
+            assert _beta_half(dof / 2.0, 0.0) == 0.0 and _beta_half(dof / 2.0, 1.0) == 1.0
+
+
+class TestIncompleteBetaHalf:
+    def test_matches_scipy_betainc(self):
+        # scipy is the oracle here only; the package does not import it
+        from scipy.special import betainc
+
+        worst = 0.0
+        for dof in [*map(int, np.unique(np.round(np.logspace(0, 5, 60)))), 99_999]:
+            for t in np.logspace(-6, 6, 97).tolist():
+                x = dof / (dof + t * t)
+                want = float(betainc(dof / 2.0, 0.5, x))
+                if want >= 1e-300:
+                    worst = max(worst, abs(_beta_half(dof / 2.0, x) - want) / want)
+        assert worst <= 1e-11
 
 
 class TestFitLinear:

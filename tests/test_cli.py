@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from redflow import cli
 from redflow.analysis import RATE_KEYS, RATE_KINDS, to_db
@@ -469,14 +469,17 @@ class TestPipeline:
         # one subject, both conditions: each (fold, lambda) system is
         # factorised once, and each distinct chosen lambda once for the
         # pooled fit (two separate fits would make 2 * (4 * 2 + 1) = 18)
+        from redflow import decoder
+
         calls = []
-        cho_factor = scipy.linalg.cho_factor
+        factor = decoder._factor
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return cho_factor(*args, **kwargs)
+        def counting(gram, lam):
+            # a stack of Grams (one per fold) is that many systems
+            calls.extend([lam] * int(np.prod(gram.shape[:-2])))
+            return factor(gram, lam)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        monkeypatch.setattr(decoder, "_factor", counting)
         use_cpus(monkeypatch, 1)
         config = config_from_dict(TINY)
         trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
@@ -1236,3 +1239,36 @@ class TestPipelineVariants:
                 else:
                     assert a["slope"] == pytest.approx(b["slope"], rel=1e-12)
                     assert a["p_value"] == pytest.approx(b["p_value"], rel=1e-9)
+
+
+class TestNumpyOnly:
+    """The package runs on numpy alone: scipy is a test dependency."""
+
+    @staticmethod
+    def run_python(code, *args):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_import_loads_no_scipy(self):
+        done = self.run_python(
+            "import sys; import redflow, redflow.cli, redflow.synth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_all_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry makes every `import scipy...` fail, here and in the
+        # forked subject workers (two usable CPUs are reported, so two)
+        code = (
+            "import os, sys; sys.modules['scipy'] = None; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from redflow import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        cfg_path = write_config(tmp_path)
+        done = self.run_python(code, "all", "--config", str(cfg_path),
+                               "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "fits.json").is_file()

@@ -119,11 +119,13 @@ class TestTrain:
             rec, _, s = planted_trial(rng, 900, window=w)
             design = decoder.build_design(rec, w)
             target = s.samples[lag_valid_slice(900, w)]
-            cho = scipy.linalg.cho_factor(
-                design.T @ design + lam * np.eye(design.shape[1]), lower=True
-            )
+            system = design.T @ design + lam * np.eye(design.shape[1])
+            weights = train(rec, s, w, lam).flat_weights
+            assert np.array_equal(weights, np.linalg.solve(system, design.T @ target))
+            # the Cholesky solve agrees to rounding
+            cho = scipy.linalg.cho_factor(system, lower=True)
             expected = scipy.linalg.cho_solve(cho, design.T @ target)
-            assert np.array_equal(train(rec, s, w, lam).flat_weights, expected)
+            assert np.max(np.abs(weights - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_failed_factorization_raises_naming_lambda(self):
         # exact duplicate channels: lambda below the rounding of the Gram

@@ -72,6 +72,19 @@ class TestStationaryCovariance:
         np.testing.assert_allclose(np.diag(s), [1.0 / (1.0 - 0.99999**2), 1.0 / 0.75], rtol=1e-12)
         assert s[0, 1] == s[1, 0] == 0.0
 
+    def test_matches_scipy_lyapunov(self):
+        # scipy is the oracle here only; the package does not import it
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng(0)
+        models = [random_stable_model(rng, dim) for dim in range(2, 6) for _ in range(5)]
+        models.append(VarModel(transition=np.diag([0.99999, 0.5]), noise_cov=np.eye(2)))
+        for m in models:
+            want = solve_discrete_lyapunov(m.transition, m.noise_cov)
+            want = 0.5 * (want + want.T)
+            err = np.max(np.abs(stationary_covariance(m) - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
+
     def test_lag_covariance_geometric(self):
         m = VarModel(transition=[[0.7]], noise_cov=[[1.0]])
         s0 = stationary_covariance(m)
