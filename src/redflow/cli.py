@@ -351,8 +351,8 @@ def train_decoders(config: RunConfig, trials, conditions) -> dict:
     Returns ``{(subject, condition): (Decoder, per-lambda mean rho)}``. Each
     trial's design is built once, for all conditions, and only its
     sufficient statistics are kept; each subject's cross-validation
-    checks every (fold, lambda) system once and solves it for each
-    condition. Subjects are trained independently (:func:`_map_groups`).
+    decomposes each fold's Gram once, for every lambda and condition.
+    Subjects are trained independently (:func:`_map_groups`).
     """
     out = {}
     for part in _map_groups(_train_subject, (config, conditions), _by_subject(trials)):

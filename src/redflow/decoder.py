@@ -8,13 +8,15 @@ columns are ordered channel-major, lag-minor (all lags of channel 0, then
 all lags of channel 1, ...). No intercept is fit; both sides are expected
 zero-mean (normalize first).
 
-A trial's statistics hold one target per stimulus (:func:`trial_stats`), and
-:func:`fit_decoders` solves every target of each system it builds.
+The solve goes through the eigendecomposition R'R = V diag(e) V':
+g = V diag(1 / (e + lambda)) V'R's, so one decomposition serves every
+lambda and every target. A trial's statistics hold one target per stimulus
+(:func:`trial_stats`), and :func:`fit_decoders` solves all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,8 +62,7 @@ class Decoder:
             )
         if not np.all(np.isfinite(w)):
             raise ShapeMismatch("weights must be finite")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ShapeMismatch(f"lambda must be a finite number >= 0, got {self.lam!r}")
+        _check_lambdas(self.lam)
         if not (np.isfinite(self.train_rate_hz) and self.train_rate_hz > 0.0):
             raise InvalidRate(f"rate_hz must be a finite number > 0, got {self.train_rate_hz!r}")
         w = w.copy()
@@ -88,37 +89,35 @@ def build_design(r: MultichannelRecording, w: LagWindow) -> np.ndarray:
     return view.reshape(view.shape[0], -1)
 
 
-def _factor(gram: np.ndarray, lam: float) -> np.ndarray:
-    """The system gram + lam I (one per matrix of a stack of Grams), once a
-    Cholesky factorization has shown it positive definite; ``np.linalg.solve``
-    solves it.
+def _check_lambdas(*lambdas) -> None:
+    for lam in lambdas:
+        if not (np.isfinite(lam) and lam >= 0.0):
+            raise ShapeMismatch(f"lambda must be a finite number >= 0, got {lam!r}")
 
-    Raises SingularSystem when lam == 0 and a Gram matrix is rank-deficient
-    beyond tolerance, or when a factorization fails (a lam too small to
-    lift an exact rank deficiency). No jitter is ever added.
+
+def _ridge(eigvals: np.ndarray, eigvecs: np.ndarray, proj: np.ndarray, lam: float) -> np.ndarray:
+    """``V diag(1 / (e + lam)) proj``: given ``gram = V diag(e) V'`` and
+    ``proj = V'b``, the solution of ``(gram + lam I) g = b``, per Gram of a
+    stack. Raises SingularSystem when lam == 0 and a Gram is rank-deficient
+    beyond tolerance, or when lam > 0 but e_min + lam <= d eps e_max (lam
+    within the eigenvalues' rounding, as at an exact rank deficiency).
     """
-    if lam < 0:
-        raise ShapeMismatch(f"lambda must be >= 0, got {lam}")
-    if lam == 0.0:
-        eigs = np.linalg.eigvalsh(gram)
-        low, high = eigs[..., 0], eigs[..., -1]
-        if np.any((high <= 0.0) | (low < _RANK_RTOL * high)):
-            raise SingularSystem(
-                "normal equations are rank-deficient at lambda=0 "
-                f"(relative conditioning {np.min(low / np.maximum(high, 1e-300)):.2e})"
-            )
-    system = gram + lam * np.eye(gram.shape[-1])
-    try:
-        np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        raise SingularSystem(f"normal equations are not positive definite at lambda={lam!r}") from None
-    return system
+    low, high = eigvals[..., :1], eigvals[..., -1:]
+    if lam == 0.0 and np.any((high <= 0.0) | (low < _RANK_RTOL * high)):
+        raise SingularSystem(
+            "normal equations are rank-deficient at lambda=0 "
+            f"(relative conditioning {np.min(low / np.maximum(high, 1e-300)):.2e})"
+        )
+    if lam > 0.0 and np.any(low + lam <= eigvals.shape[-1] * np.finfo(float).eps * high):
+        raise SingularSystem(f"normal equations are not positive definite at lambda={lam!r}")
+    return (eigvecs @ (proj / (eigvals + lam))[..., None])[..., 0]
 
 
-def _decoder(system, rhs: np.ndarray, w: LagWindow, lam: float, channel_labels, rate_hz) -> Decoder:
-    """The decoder whose design-order weights solve ``system`` for ``rhs``."""
-    flat = np.linalg.solve(system, rhs)
-    return Decoder(flat.reshape(len(channel_labels), w.n_lags).T, w, float(lam), channel_labels, rate_hz)
+def _pooled_decoders(gram, rhs, lambdas, w: LagWindow, channel_labels, rate_hz) -> list:
+    """One decoder per row of ``rhs`` at its lambda, from one ``eigh(gram)``."""
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    return [Decoder(_ridge(eigvals, eigvecs, b @ eigvecs, lam).reshape(len(channel_labels), w.n_lags).T,
+                    w, float(lam), channel_labels, rate_hz) for b, lam in zip(rhs, lambdas)]
 
 
 def train(r: MultichannelRecording, s: TimeSeries, w: LagWindow, lam: float) -> Decoder:
@@ -129,13 +128,15 @@ def train(r: MultichannelRecording, s: TimeSeries, w: LagWindow, lam: float) -> 
     Raises
     ------
     ShapeMismatch
-        If recording and stimulus disagree in rate or length.
+        If ``lam`` is not a finite number >= 0, or if recording and
+        stimulus disagree in rate or length.
     SingularSystem
         If ``lam == 0`` and the normal equations are rank-deficient, or if
-        ``lam`` is too small for the factorization to succeed.
+        ``lam`` is too small to make them safely positive definite.
     """
+    _check_lambdas(lam)
     st = trial_stats(r, [s], w)
-    return _decoder(_factor(st.gram, lam), st.rhs[0], w, lam, r.labels, r.rate_hz)
+    return _pooled_decoders(st.gram, st.rhs, [lam], w, r.labels, r.rate_hz)[0]
 
 
 def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:
@@ -206,15 +207,16 @@ class TrialStats:
     of rows, shared by every target. Row k of ``rhs`` is D'y_k,
     ``target_sum[k]`` the sum of y_k and ``target_css[k]`` its centred sum
     of squares. They suffice both to accumulate the normal equations and to
-    score any decoder g on the trial by Pearson correlation.
+    score any decoder g on the trial by Pearson correlation. Stacked, each
+    field with a leading trial axis, they score one decoder per trial.
     """
 
     gram: np.ndarray
     col_sums: np.ndarray
     n: int
     rhs: np.ndarray
-    target_sum: tuple
-    target_css: tuple
+    target_sum: np.ndarray
+    target_css: np.ndarray
 
 
 def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> TrialStats:
@@ -237,24 +239,21 @@ def trial_stats(r: MultichannelRecording, stimuli, w: LagWindow) -> TrialStats:
     return TrialStats(
         design.T @ design, design.sum(axis=0), design.shape[0],
         np.array([design.T @ t for t in targets]),
-        tuple(float(t.sum()) for t in targets),
-        tuple(float(np.dot(c, c)) for c in centred),
+        np.array([t.sum() for t in targets]),
+        np.array([np.dot(c, c) for c in centred]),
     )
 
 
-def _held_out_rho(st: TrialStats, k: int, g: np.ndarray) -> float:
+def _held_out_rho(st: TrialStats, k: int, g: np.ndarray):
     """Pearson correlation of the prediction D g with target k, from the
-    trial's statistics: sum(p) = col_sums.g, sum(p^2) = g'Gg, sum(p y) = g'rhs.
-    A constant target or prediction raises ZeroVarianceSignal with its
-    ``target`` attribute set to k."""
-    sum_p = float(st.col_sums @ g)
-    css_p = float(g @ st.gram @ g) - sum_p * sum_p / st.n
-    cross = float(g @ st.rhs[k]) - sum_p * st.target_sum[k] / st.n
-    if css_p <= 0.0 or st.target_css[k] == 0.0:
-        error = ZeroVarianceSignal("pearson undefined for a constant signal")
-        error.target = k
-        raise error
-    return cross / float(np.sqrt(css_p * st.target_css[k]))
+    trial's statistics: sum(p) = col_sums.g, sum(p^2) = g'Gg, sum(p y) = g'rhs,
+    and NaN where the target or the prediction is constant. Stacked
+    statistics score a stack of g, one per trial."""
+    sum_p = np.sum(st.col_sums * g, axis=-1)
+    css_p = np.sum(g * (st.gram @ g[..., None])[..., 0], axis=-1) - sum_p * sum_p / st.n
+    cross = np.sum(g * st.rhs[..., k, :], axis=-1) - sum_p * st.target_sum[..., k] / st.n
+    css = css_p * st.target_css[..., k]
+    return cross / np.sqrt(np.where(css > 0.0, css, np.nan))
 
 
 def select_best_lambda(lambdas, mean_rho) -> float:
@@ -268,12 +267,13 @@ def fit_decoders(stats, lambdas, w: LagWindow, channel_labels, rate_hz: float) -
     :class:`TrialStats` per trial), as ``(Decoder, per-lambda mean rho)``
     pairs in target order.
 
-    Leave-one-trial-out: each (fold, lambda) system ``gram_total - gram_i +
-    lambda I`` is checked once (:func:`_factor`, one lambda's folds as one
-    stack) and solved for each target on its own, scored by the held-out
-    trial's Pearson correlation from its statistics alone. A target is fit
-    on all trials at its :func:`select_best_lambda`, one system per distinct
-    lambda. Fewer than 2 trials raise InsufficientTrials.
+    Leave-one-trial-out: one eigendecomposition of each fold's Gram
+    ``gram_total - gram_i`` serves every lambda and target (:func:`_ridge`),
+    each fit scored by the held-out trial's Pearson correlation from its
+    statistics alone. Each target is then fit on all trials at its
+    :func:`select_best_lambda`, through one eigendecomposition of
+    ``gram_total``. Fewer than 2 trials raise InsufficientTrials; a lambda
+    that is not a finite number >= 0 raises ShapeMismatch.
     """
     stats = list(stats)
     lambdas = [float(v) for v in lambdas]
@@ -281,28 +281,25 @@ def fit_decoders(stats, lambdas, w: LagWindow, channel_labels, rate_hz: float) -
         raise InsufficientTrials(f"cross-validation needs >= 2 trials, got {len(stats)}")
     if not lambdas:
         raise ShapeMismatch("empty lambda grid")
-    gram_total = sum(st.gram for st in stats)
-    rhs_total = sum(st.rhs for st in stats)
-    # fold i leaves trial i out. A solve for two right-hand sides rounds
-    # differently from two solves for one, so each target is solved alone:
-    # its fit does not depend on which others share the system
-    fold_grams = np.stack([gram_total - st.gram for st in stats])
-    fold_rhs = rhs_total - np.stack([st.rhs for st in stats])
-    curves = [[] for _ in rhs_total]
+    _check_lambdas(*lambdas)
+    held_out = TrialStats(*(np.array([getattr(st, f.name) for st in stats]) for f in fields(TrialStats)))
+    gram_total, rhs_total = held_out.gram.sum(axis=0), held_out.rhs.sum(axis=0)
+    # fold i leaves trial i out. Each target is projected, solved and scored
+    # on its own, so its fit does not depend on which others share the system
+    eigvals, eigvecs = np.linalg.eigh(gram_total - held_out.gram)
+    projs = [((b - held_out.rhs[:, k])[:, None] @ eigvecs)[:, 0] for k, b in enumerate(rhs_total)]
+    curves = [[] for _ in projs]
     for lam in lambdas:
-        systems = _factor(fold_grams, lam)
-        weights = [np.linalg.solve(systems, fold_rhs[:, k, :, None])[..., 0] for k in range(len(curves))]
-        folds = [[_held_out_rho(st, k, g[i]) for k, g in enumerate(weights)] for i, st in enumerate(stats)]
-        for curve, rhos in zip(curves, zip(*folds)):
-            curve.append(float(np.mean(rhos)))
-    pooled = {}
-    out = []
-    for rhs, curve in zip(rhs_total, curves):
-        lam = select_best_lambda(lambdas, curve)
-        if lam not in pooled:
-            pooled[lam] = _factor(gram_total, lam)
-        out.append((_decoder(pooled[lam], rhs, w, lam, channel_labels, rate_hz), curve))
-    return out
+        rhos = [_held_out_rho(held_out, k, _ridge(eigvals, eigvecs, proj, lam)) for k, proj in enumerate(projs)]
+        undefined = np.argwhere(np.isnan(np.transpose(rhos)))  # (fold, target): the first in fold order
+        if len(undefined):
+            error = ZeroVarianceSignal("pearson undefined for a constant signal")
+            error.target = int(undefined[0, 1])
+            raise error
+        for curve, rho in zip(curves, rhos):
+            curve.append(float(np.mean(rho)))
+    chosen = [select_best_lambda(lambdas, curve) for curve in curves]
+    return list(zip(_pooled_decoders(gram_total, rhs_total, chosen, w, channel_labels, rate_hz), curves))
 
 
 def save_decoder(d: Decoder, path, extra_meta: dict | None = None) -> None:

@@ -35,7 +35,8 @@ class ChannelOrderMismatch(RedflowError):
 
 
 class SingularSystem(NumericalError):
-    """Unregularized normal equations are rank-deficient beyond tolerance."""
+    """Ridge normal equations are rank-deficient beyond tolerance at lambda = 0,
+    or a lambda > 0 is too small to lift their smallest eigenvalue clear of rounding."""
 
 
 class InsufficientTrials(RedflowError):

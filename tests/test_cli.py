@@ -466,28 +466,60 @@ class TestPipeline:
                      "--out", str(tmp_path / "out")]) == 0
 
     def test_conditions_share_each_factorisation(self, monkeypatch):
-        # one subject, both conditions: each (fold, lambda) system is
-        # factorised once, and each distinct chosen lambda once for the
-        # pooled fit (two separate fits would make 2 * (4 * 2 + 1) = 18)
-        from redflow import decoder
-
+        # one subject, both conditions: one eigendecomposition per fold
+        # serves every lambda and both conditions, and one more serves every
+        # chosen lambda of the pooled fit (one factorisation per (fold, lambda)
+        # system and per chosen lambda would make 2 * 4 + 1 or more)
         calls = []
-        factor = decoder._factor
+        eigh = np.linalg.eigh
 
-        def counting(gram, lam):
-            # a stack of Grams (one per fold) is that many systems
-            calls.extend([lam] * int(np.prod(gram.shape[:-2])))
-            return factor(gram, lam)
+        def counting(a, *args, **kwargs):
+            # a stack of Grams (one per fold) is that many decompositions
+            calls.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(decoder, "_factor", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         use_cpus(monkeypatch, 1)
         config = config_from_dict(TINY)
         trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
         fitted = cli.train_decoders(config, trials, ("attended", "distractor"))
         assert sorted(fitted) == [("s01", "attended"), ("s01", "distractor")]
-        pooled = len({dec.lam for dec, _ in fitted.values()})
-        assert pooled in (1, 2)
-        assert len(calls) == len(config.lambda_grid) * config.n_trials + pooled
+        assert sum(calls) == config.n_trials + 1
+
+    @pytest.mark.parametrize("doc", [{}, TINY], ids=["default", "tiny"])
+    def test_cv_curve_matches_direct_cholesky_solves(self, doc, monkeypatch):
+        # each (fold, lambda) system factorised and solved on its own by
+        # scipy, and each held-out trial scored by the Pearson correlation
+        # of its own design's prediction with the target
+        import scipy.linalg
+
+        from redflow import decoder, signals
+
+        use_cpus(monkeypatch, 1)
+        config = config_from_dict(doc)
+        conditions = ("attended", "distractor")
+        trials = make_aad_scenario(config.scenario(), rate_hz=config.rate_hz, subjects=[0])
+        fitted = cli.train_decoders(config, trials, conditions)
+        window = config.lag_window()
+        designs, targets = [], []
+        for trial in trials:
+            eeg = cli._prep_eeg(config, trial.eeg)
+            valid = signals.lag_valid_slice(eeg.n_samples, window)
+            designs.append(decoder.build_design(eeg, window))
+            targets.append([signals.normalize(cli._stimulus(trial, c)).samples[valid] for c in conditions])
+        for k, condition in enumerate(conditions):
+            expected = []
+            for lam in config.lambda_grid:
+                rhos = []
+                for i, held_out in enumerate(designs):
+                    train_set = [j for j in range(len(designs)) if j != i]
+                    system = sum(designs[j].T @ designs[j] for j in train_set)
+                    system += lam * np.eye(system.shape[0])
+                    rhs = sum(designs[j].T @ targets[j][k] for j in train_set)
+                    g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), rhs)
+                    rhos.append(np.corrcoef(held_out @ g, targets[i][k])[0, 1])
+                expected.append(np.mean(rhos))
+            np.testing.assert_allclose(fitted[("s01", condition)][1], expected, rtol=1e-12, atol=0)
 
     def test_conditions_share_each_rate_call(self, monkeypatch):
         # one bound call and one kernel call per trial, whatever the number

@@ -100,8 +100,9 @@ class TestTrain:
 
     def test_negative_lambda(self):
         r = recording([[1.0, 2.0, 3.0]])
-        with pytest.raises(ShapeMismatch):
-            train(r, ts([1.0, 2.0, 3.0], label="s"), LagWindow(0, 0), -1.0)
+        for lam in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ShapeMismatch, match=f"finite number >= 0, got {lam!r}"):
+                train(r, ts([1.0, 2.0, 3.0], label="s"), LagWindow(0, 0), lam)
 
     def test_ridge_norm_monotone_in_lambda(self):
         for seed in range(5):
@@ -121,7 +122,10 @@ class TestTrain:
             target = s.samples[lag_valid_slice(900, w)]
             system = design.T @ design + lam * np.eye(design.shape[1])
             weights = train(rec, s, w, lam).flat_weights
-            assert np.array_equal(weights, np.linalg.solve(system, design.T @ target))
+            # exactly the spectral formula V diag(1 / (e + lam)) V'b
+            e, v = np.linalg.eigh(design.T @ design)
+            spectral = (v @ (((design.T @ target) @ v) / (e + lam))[:, None])[:, 0]
+            assert np.array_equal(weights, spectral)
             # the Cholesky solve agrees to rounding
             cho = scipy.linalg.cho_factor(system, lower=True)
             expected = scipy.linalg.cho_solve(cho, design.T @ target)
@@ -136,6 +140,35 @@ class TestTrain:
         for lam in (1e-300, 1e-20):
             with pytest.raises(SingularSystem, match=f"lambda={lam!r}"):
                 train(r, s, LagWindow(0, 0), lam)
+
+    def test_small_lambda_boundary_on_duplicate_channel(self):
+        # an exact duplicate channel leaves e_min a rounding-sized number of
+        # either sign (a few eps e_max), so every lambda up to half of
+        # d eps e_max leaves e_min + lambda <= d eps e_max and raises
+        eps = float(np.finfo(float).eps)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(300)
+            rec = recording([x, rng.standard_normal(300), x])
+            s = ts(rng.standard_normal(300), label="s")
+            w = LagWindow(0, 3)
+            design = decoder.build_design(rec, w)
+            gram = design.T @ design
+            e = np.linalg.eigh(gram)[0]
+            bound = gram.shape[0] * eps * float(e[-1])
+            assert abs(e[0]) < 0.5 * bound
+            for lam in (0.5 * bound, 1e-3 * bound, 1e-300):
+                with pytest.raises(SingularSystem, match=f"lambda={lam!r}"):
+                    train(rec, s, w, lam)
+            # lambda = 1e-6 e_max solves; it agrees with the Cholesky solve
+            # as far as the system's conditioning (about 1e6) allows
+            lam = 1e-6 * float(e[-1])
+            weights = train(rec, s, w, lam).flat_weights
+            system = gram + lam * np.eye(gram.shape[0])
+            rhs = design.T @ s.samples[lag_valid_slice(300, w)]
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), rhs)
+            cond = (e[-1] + lam) / lam
+            assert np.max(np.abs(weights - expected)) <= 10 * cond * eps * np.max(np.abs(expected))
 
     def test_recovery_error_shrinks_with_n(self):
         errs = {1000: [], 100000: []}
@@ -300,9 +333,15 @@ class TestCrossValidate:
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(2)
-        best, curve = self._cross_validate(self._trials(rng, 3), [0.37])
+        trials = self._trials(rng, 3)
+        best, curve = self._cross_validate(trials, [0.37])
         assert best == 0.37
         assert len(curve) == 1
+        # a lambda that is not a finite number >= 0 is refused up front
+        for lam in (-1.0, float("inf"), float("nan")):
+            for grid in ([lam], [0.37, lam]):
+                with pytest.raises(ShapeMismatch, match=f"finite number >= 0, got {lam!r}"):
+                    self._cross_validate(trials, grid)
 
     def test_needs_two_trials(self):
         rng = np.random.default_rng(2)
@@ -361,6 +400,19 @@ class TestCrossValidate:
         trials = [(rec, [s, s]) for rec, s in self._trials(rng, 3)]
         rec, (s, _) = trials[1]
         trials[1] = (rec, [s, ts(np.ones(len(s)), label="s")])
+        with pytest.raises(ZeroVarianceSignal) as caught:
+            self._fit(trials, [1.0])
+        assert caught.value.target == 1
+
+    def test_first_constant_target_in_fold_order_is_named(self):
+        # folds are scored as one stack per target, but the error names the
+        # target a fold-by-fold scoring meets first: trial 1's second target
+        # before trial 2's first
+        rng = np.random.default_rng(22)
+        trials = [(rec, [s, s]) for rec, s in self._trials(rng, 3)]
+        flat = ts(np.ones(len(trials[0][1][0])), label="s")
+        trials[1] = (trials[1][0], [trials[1][1][0], flat])
+        trials[2] = (trials[2][0], [flat, trials[2][1][1]])
         with pytest.raises(ZeroVarianceSignal) as caught:
             self._fit(trials, [1.0])
         assert caught.value.target == 1
