@@ -20,7 +20,9 @@ key. ``analyze_scenario`` runs the whole chain in memory for a simulated
 scenario, generating each subject in the task that trains and rates it.
 Each subject is trained and rated, and each trial's files written, on its
 own, in one pool of forked worker processes per command where more than
-one CPU is usable (:func:`_pool`).
+one CPU is usable (:func:`~redflow.workers._pool`); ``simulate`` and
+``all`` start a second pool first where the scenario has more than one
+generation batch (:func:`~redflow.synth.make_aad_scenario`).
 Each file is written by exactly one process; the parent writes the dataset
 manifest and every file under the output directory, so outputs do not
 depend on the worker count.
@@ -42,11 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
-import os
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -60,6 +58,7 @@ from .errors import ConfigError, DataError, NoPoints, NumericalError, RedflowErr
 from .infotheory import EmbedSpec
 from .redundancy import directed_redundancy_bound
 from .signals import LEFT_TEMPORAL_LABELS, LagWindow
+from .workers import _map_groups, _pool
 
 CONFIG_VERSION = 1
 SCHEMA_VERSION = 1
@@ -263,70 +262,6 @@ def _by_subject(trials) -> list:
     for t in trials:
         grouped.setdefault(t.subject_id, []).append(t)
     return [(s, sorted(ts, key=lambda t: t.trial_id)) for s, ts in sorted(grouped.items())]
-
-
-def _worker_count(n_groups: int) -> int:
-    """Worker processes for ``n_groups`` groups: one per usable CPU, at
-    most one per group. 1 (run in-process) where ``fork`` or CPU affinity
-    is unavailable, where the caller runs other threads (forking a threaded
-    process can deadlock), or inside a daemonic process, which may not
-    start children."""
-    if (
-        not hasattr(os, "sched_getaffinity")
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_groups)
-
-
-#: The tasks of the pool a worker process was forked for; set only in the
-#: worker, by the pool's initializer.
-_worker_tasks = None
-
-
-def _start_worker(tasks) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
-
-
-def _run_job(index: int):
-    return _worker_tasks[index]()
-
-
-@contextmanager
-def _pool(tasks):
-    """Yields, for each task (a callable without arguments), a callable that
-    returns its result or raises its error. With more than one usable CPU
-    the tasks are dispatched in order to forked workers, which inherit them
-    (nothing but results is pickled), and a call waits for its result;
-    otherwise a call runs its task in-process. Either way the caller meets
-    the errors in the order it reads the results. No worker outlives the
-    block: the pool is shut down, its queued tasks cancelled."""
-    workers = _worker_count(len(tasks))
-    if workers <= 1:
-        yield tasks
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(tasks,),
-    ) as pool:
-        futures = [pool.submit(_run_job, i) for i in range(len(tasks))]
-        try:
-            yield [future.result for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
-
-
-def _map_groups(fn, args, groups) -> list:
-    """``[fn(*args, group) for group in groups]`` through :func:`_pool`, read
-    in group order: the error raised is the one a serial run meets first."""
-    with _pool([partial(fn, *args, group) for group in groups]) as results:
-        return [result() for result in results]
 
 
 def _train_subject(config: RunConfig, conditions, group) -> dict:
@@ -798,8 +733,9 @@ def _write_report(config: RunConfig, out_dir: Path, pdf_rows, curve_rows, fits, 
 
 def cmd_all(config: RunConfig, data_dir, out_dir, conditions=analysis.CONDITIONS) -> None:
     """The four stages on the simulated trials in memory, in one pool
-    (:func:`_write_dataset`): each file is written once, by the same writer
-    as its stage, and none is read back."""
+    (:func:`_write_dataset`), after the one the scenario's generation may
+    start: each file is written once, by the same writer as its stage, and
+    none is read back."""
     out_dir, data_hash = Path(out_dir), config.config_hash()
     trials = synth.make_aad_scenario(config.scenario(), rate_hz=config.rate_hz)
     parts = _write_dataset(config, Path(data_dir), trials, conditions)

@@ -136,7 +136,7 @@ def train(r: MultichannelRecording, s: TimeSeries, w: LagWindow, lam: float) -> 
     """
     _check_lambdas(lam)
     st = trial_stats(r, [s], w)
-    return _pooled_decoders(st.gram, st.rhs, [lam], w, r.labels, r.rate_hz)[0]
+    return _pooled_decoders(st.gram, st.rhs, [float(lam)], w, r.labels, r.rate_hz)[0]
 
 
 def reconstruct(d: Decoder, r: MultichannelRecording) -> TimeSeries:

@@ -20,13 +20,18 @@ the same data everywhere.
 from __future__ import annotations
 
 import math
+import mmap
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateCovariance, ShapeMismatch, UnstableModel
 from .infotheory import LN2, EmbedSpec, _te_columns
 from .signals import LEFT_TEMPORAL_LABELS, MultichannelRecording, TimeSeries
+from .workers import _pool
 
 RNG_ALGORITHM = "philox4x64-10"
 
@@ -286,9 +291,11 @@ def _channel_labels(n_channels: int) -> tuple:
 #: Scenario burn-in; > 10x the slowest envelope mode (pole 0.9, tau ~ 9.5).
 _SCENARIO_BURN = 200
 
-#: Trials whose series make_aad_scenario filters together. Each filter step
-#: has a fixed cost, so more series per step is faster; the two batch
-#: buffers take 15 MB at 6 channels and 3,400 samples.
+#: Trials whose series make_aad_scenario filters together, one task of its
+#: pool. Each filter step has a fixed cost, so more series per step is
+#: faster; a batch's shared mapping takes 15 MB at 6 channels and 3,400
+#: samples, and a scenario with more batches than one spreads them over
+#: the pool's workers.
 _SCENARIO_BATCH = 60
 
 
@@ -307,6 +314,106 @@ def _subject_parameters(sc: AadScenario, s: int) -> tuple:
     return att_gain, dist_gain, att_taps, dist_taps, ar_coefs, common_gains
 
 
+def _batch_shapes(sc: AadScenario, n_trials: int) -> tuple:
+    """Shapes of a batch's two float64 buffers, laid out in that order in its
+    mapping: envelope innovations (trial, [att, dist, common], time) after
+    two zero samples, and channel drives (trial, channel, time)."""
+    total = sc.n_samples + _SCENARIO_BURN
+    return (n_trials, 3, 2 + total), (n_trials, sc.n_channels, total)
+
+
+def _batch_arrays(sc: AadScenario, n_trials: int, mapping) -> tuple:
+    """The envelope and drive buffers of a batch, as views of its mapping."""
+    env_shape, drive_shape = _batch_shapes(sc, n_trials)
+    env = np.ndarray(env_shape, buffer=mapping)
+    return env, np.ndarray(drive_shape, buffer=mapping, offset=env.nbytes)
+
+
+def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
+    """Draw, filter and assemble the trials ``batch`` ((subject, trial) keys)
+    in place in their zero-filled mapping (:func:`_batch_shapes`).
+
+    The filter runs through the envelope buffer's two leading zeros and
+    leaves them +0.0, so the envelopes one and two samples late are views.
+    Each series is contiguous for the per-trial work; the filters take a
+    time-first view. The shared component is slow (same band as the
+    envelopes) so channels are redundant even without stimulus coupling;
+    the channel-specific noise is white so reconstruction residuals keep
+    broadband content.
+    """
+    env_scale = _ar2_unit_variance_scale(_ENV_A1, _ENV_A2)
+    total = sc.n_samples + _SCENARIO_BURN
+    env, drive = _batch_arrays(sc, len(batch), mapping)
+    # the observation noise goes straight into the drive buffer
+    trial_scales = []
+    for i, (s, tr) in enumerate(batch):
+        trng = substream(sc.seed, _TRIAL_STREAM + s * _MAX_TRIALS + tr)
+        trial_scales.append(trng.uniform(0.8, 1.2))
+        for k in range(3):
+            env[i, k, 2:] = env_scale * trng.standard_normal(total)
+        drive[i] = (sc.observation_noise * trng.standard_normal((total, sc.n_channels))).T
+    _ar_filter(np.moveaxis(env, -1, 0), (_ENV_A1, _ENV_A2))
+    for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
+        att_gain, dist_gain, att_taps, dist_taps, _, common_gains = params[s]
+        (att_l1, dist_l1), (att_l2, dist_l2) = env[i, :2, 1:-1], env[i, :2, :-2]
+        # one row per channel, with its taps as columns; the buffer holds
+        # the observation noise, the last term of the drive, and adding
+        # it in place rounds the same (a + b == b + a)
+        drive[i] += (
+            att_gain * trial_scale * (att_taps[:, :1] * att_l1 + att_taps[:, 1:] * att_l2)
+            + dist_gain * trial_scale * (dist_taps[:, :1] * dist_l1 + dist_taps[:, 1:] * dist_l2)
+            + common_gains[:, None] * env[i, 2, 2:]
+        )
+    ar_coefs = np.stack([params[s][4] for s, _ in batch])
+    _ar_filter(np.moveaxis(drive, -1, 0), (ar_coefs,))
+
+
+def _read_batch(sc: AadScenario, rate_hz: float, batch: list, mapping) -> list:
+    """The :class:`TrialData` of a filled batch, copied out of its mapping."""
+    labels = _channel_labels(sc.n_channels)
+    env, drive = _batch_arrays(sc, len(batch), mapping)
+    trials = []
+    for i, (s, tr) in enumerate(batch):
+        attended, distractor = env[i, :2, 2 + _SCENARIO_BURN:]
+        trials.append(
+            TrialData(
+                subject_id=f"s{s + 1:02d}",
+                trial_id=f"t{tr + 1:03d}",
+                attended=TimeSeries("attended_envelope", rate_hz, attended),
+                distractor=TimeSeries("distractor_envelope", rate_hz, distractor),
+                eeg=MultichannelRecording(labels, rate_hz, drive[i, :, _SCENARIO_BURN:]),
+            )
+        )
+    return trials
+
+
+def _release(mapping) -> None:
+    """Free a mapping's pages, in every process that maps it, and close it."""
+    if not mapping.closed:
+        if hasattr(mmap, "MADV_REMOVE"):
+            mapping.madvise(mmap.MADV_REMOVE)
+        mapping.close()
+
+
+@contextmanager
+def _shared_mappings(sizes):
+    """Yields one zero-filled anonymous shared mapping of each size in bytes,
+    which forked workers inherit; each is released on leaving, on error too.
+    An in-process task's error holds its frames, whose arrays would keep a
+    mapping from closing: their locals are cleared first."""
+    mappings = []
+    try:
+        for size in sizes:
+            mappings.append(mmap.mmap(-1, size))
+        yield mappings
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        for mapping in mappings:
+            _release(mapping)
+
+
 def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> list:
     """Generate the trials of a scenario, deterministically from its seed.
 
@@ -315,66 +422,30 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> 
     depend on which others are generated.
     Channel generation per trial: each channel is an AR(1) (coefficient
     drawn per channel) driven by lag-1/lag-2 taps of both envelopes, a
-    shared common-noise channel mix, and white observation noise. Trials
-    are generated in batches of up to ``_SCENARIO_BATCH``, whose series are
-    filtered together; every trial draws from its own substream, so the
-    batching does not change a sample.
+    shared common-noise channel mix, and white observation noise.
+
+    Trials are generated in batches of up to ``_SCENARIO_BATCH``, whose
+    series are filtered together, each batch one task of a
+    :func:`~redflow.workers._pool`: with more than one batch and more than
+    one usable CPU, forked workers fill the batches in anonymous shared
+    mappings made before the fork, and the parent copies the trials out in
+    batch order, then frees each batch's pages. Every trial draws from its
+    own substream, so neither the batching nor the worker count changes a
+    sample.
     """
-    env_scale = _ar2_unit_variance_scale(_ENV_A1, _ENV_A2)
-    labels = _channel_labels(sc.n_channels)
     chosen = range(sc.n_subjects) if subjects is None else subjects
     if not set(chosen) <= set(range(sc.n_subjects)):
         raise ShapeMismatch(f"subjects must be in 0..{sc.n_subjects - 1}, got {list(chosen)}")
     params = {s: _subject_parameters(sc, s) for s in chosen}
     keys = [(s, tr) for s in chosen for tr in range(sc.n_trials)]
-    # two buffers, filtered in place and reused by every batch: envelope
-    # innovations (trial, [att, dist, common], time) after two zero samples,
-    # which the filter runs through and leaves +0.0, so the envelopes one and
-    # two samples late are views; and channel drives (trial, channel, time).
-    # Each series is contiguous for the per-trial work; the filters take a
-    # time-first view. The shared component is slow (same band as the
-    # envelopes) so channels are redundant even without stimulus coupling;
-    # the channel-specific noise is white so reconstruction residuals keep
-    # broadband content.
-    total = sc.n_samples + _SCENARIO_BURN
-    size = min(len(keys), _SCENARIO_BATCH) or 1
-    env = np.zeros((size, 3, 2 + total))
-    drive = np.empty((size, sc.n_channels, total))
+    batches = [keys[start : start + _SCENARIO_BATCH] for start in range(0, len(keys), _SCENARIO_BATCH)]
+    sizes = [8 * sum(math.prod(shape) for shape in _batch_shapes(sc, len(b))) for b in batches]
     trials = []
-    for start in range(0, len(keys), size):
-        batch = keys[start : start + size]
-        # the observation noise goes straight into the drive buffer
-        trial_scales = []
-        for i, (s, tr) in enumerate(batch):
-            trng = substream(sc.seed, _TRIAL_STREAM + s * _MAX_TRIALS + tr)
-            trial_scales.append(trng.uniform(0.8, 1.2))
-            for k in range(3):
-                env[i, k, 2:] = env_scale * trng.standard_normal(total)
-            drive[i] = (sc.observation_noise * trng.standard_normal((total, sc.n_channels))).T
-        _ar_filter(np.moveaxis(env[: len(batch)], -1, 0), (_ENV_A1, _ENV_A2))
-        for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
-            att_gain, dist_gain, att_taps, dist_taps, _, common_gains = params[s]
-            (att_l1, dist_l1), (att_l2, dist_l2) = env[i, :2, 1:-1], env[i, :2, :-2]
-            # one row per channel, with its taps as columns; the buffer holds
-            # the observation noise, the last term of the drive, and adding
-            # it in place rounds the same (a + b == b + a)
-            drive[i] += (
-                att_gain * trial_scale * (att_taps[:, :1] * att_l1 + att_taps[:, 1:] * att_l2)
-                + dist_gain * trial_scale * (dist_taps[:, :1] * dist_l1 + dist_taps[:, 1:] * dist_l2)
-                + common_gains[:, None] * env[i, 2, 2:]
-            )
-        ar_coefs = np.stack([params[s][4] for s, _ in batch])
-        _ar_filter(np.moveaxis(drive[: len(batch)], -1, 0), (ar_coefs,))
-
-        for i, (s, tr) in enumerate(batch):
-            attended, distractor = env[i, :2, 2 + _SCENARIO_BURN:]
-            trials.append(
-                TrialData(
-                    subject_id=f"s{s + 1:02d}",
-                    trial_id=f"t{tr + 1:03d}",
-                    attended=TimeSeries("attended_envelope", rate_hz, attended),
-                    distractor=TimeSeries("distractor_envelope", rate_hz, distractor),
-                    eeg=MultichannelRecording(labels, rate_hz, drive[i, :, _SCENARIO_BURN:]),
-                )
-            )
+    with _shared_mappings(sizes) as mappings:
+        tasks = [partial(_fill_batch, sc, params, b, m) for b, m in zip(batches, mappings)]
+        with _pool(tasks) as results:
+            for batch, mapping, result in zip(batches, mappings, results):
+                result()
+                trials += _read_batch(sc, rate_hz, batch, mapping)
+                _release(mapping)
     return trials

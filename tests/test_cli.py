@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redflow import cli
+from redflow import cli, workers
 from redflow.analysis import RATE_KEYS, RATE_KINDS, to_db
 from redflow.cli import RunConfig, config_from_dict, load_config, main
 from redflow.errors import ConfigError, DataError, ShapeMismatch, SingularSystem, ZeroVarianceSignal
@@ -630,6 +630,8 @@ def test_simulated_dataset_bytes_are_pinned(tmp_path):
 
 
 THREE_SUBJECTS = {**TINY, "scenario": {**TINY["scenario"], "n_subjects": 3}}
+#: 62 trials: two generation batches (synth._SCENARIO_BATCH is 60).
+TWO_BATCHES = {**TINY, "scenario": {**TINY["scenario"], "n_trials": 31, "n_samples": 150}}
 
 
 def use_cpus(monkeypatch, n):
@@ -660,11 +662,11 @@ def plant_singular(monkeypatch, subjects):
 class TestSubjectWorkers:
     def test_workers_are_other_processes(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        assert cli._worker_count(3) == 2
-        pids = cli._map_groups(pid_of, (), ["s01", "s02", "s03"])
+        assert workers._worker_count(3) == 2
+        pids = workers._map_groups(pid_of, (), ["s01", "s02", "s03"])
         assert len(pids) == 3 and os.getpid() not in pids
         use_cpus(monkeypatch, 1)
-        assert cli._map_groups(pid_of, (), ["s01", "s02", "s03"]) == [os.getpid()] * 3
+        assert workers._map_groups(pid_of, (), ["s01", "s02", "s03"]) == [os.getpid()] * 3
 
     def test_in_process_while_other_threads_run(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -672,18 +674,18 @@ class TestSubjectWorkers:
         other = threading.Thread(target=release.wait, args=(10.0,))
         other.start()
         try:
-            assert cli._worker_count(3) == 1
+            assert workers._worker_count(3) == 1
         finally:
             release.set()
             other.join(10.0)
         assert not other.is_alive()
-        assert cli._worker_count(3) == 2
+        assert workers._worker_count(3) == 2
 
     def test_in_process_inside_a_daemonic_worker(self, monkeypatch):
         # a daemonic process may not start children: a pool there would fail
         use_cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            pids = pool.apply(cli._map_groups, (pid_of, (), ["s01", "s02", "s03"]))
+            pids = pool.apply(workers._map_groups, (pid_of, (), ["s01", "s02", "s03"]))
         assert len(set(pids)) == 1 and os.getpid() not in pids
 
     def test_outputs_equal_at_one_and_two_workers(self, monkeypatch):
@@ -813,25 +815,37 @@ class TestSubjectWorkers:
         # each pool forks its workers: a fixed cost per pool
         started = []
 
-        class CountingPool(cli.ProcessPoolExecutor):
+        class CountingPool(workers.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(workers, "ProcessPoolExecutor", CountingPool)
         use_cpus(monkeypatch, 2)
-        cfg_path = write_config(tmp_path, doc=THREE_SUBJECTS)
-        args = ["--config", str(cfg_path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
-        pools = {}
-        for command in ("all", "simulate", "train", "rates", "report"):
+
+        def pools_of(doc, run):
+            cfg_path = write_config(tmp_path, doc=doc, name=f"{run}.json")
+            args = ["--config", str(cfg_path), "--data", str(tmp_path / run / "data"),
+                    "--out", str(tmp_path / run / "out")]
+            pools = {}
+            for command in ("all", "simulate", "train", "rates", "report"):
+                started.clear()
+                assert main([command, *args]) == 0
+                pools[command] = list(started)
             started.clear()
-            assert main([command, *args]) == 0
-            pools[command] = list(started)
-        started.clear()
-        cli.analyze_scenario(load_config(cfg_path))
-        pools["analyze_scenario"] = list(started)
-        assert pools == {
+            cli.analyze_scenario(load_config(cfg_path))
+            pools["analyze_scenario"] = list(started)
+            return pools
+
+        # 12 trials make one generation batch, which runs in-process
+        assert pools_of(THREE_SUBJECTS, "one_batch") == {
             "all": [2], "simulate": [2], "train": [2], "rates": [2], "report": [],
+            "analyze_scenario": [2],
+        }
+        # 62 trials make two: simulate and all generate them in a pool of
+        # their own; analyze_scenario generates one subject (one batch) a task
+        assert pools_of(TWO_BATCHES, "two_batches") == {
+            "all": [2, 2], "simulate": [2, 2], "train": [2], "rates": [2], "report": [],
             "analyze_scenario": [2],
         }
 

@@ -170,6 +170,23 @@ class TestTrain:
             cond = (e[-1] + lam) / lam
             assert np.max(np.abs(weights - expected)) <= 10 * cond * eps * np.max(np.abs(expected))
 
+    def test_singular_message_names_a_numpy_lambda_as_a_float(self):
+        # an np.float64 lambda is named as fit_decoders names it: the plain
+        # float repr, not np.float64(...)
+        eps = float(np.finfo(float).eps)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(300)
+        rec = recording([x, rng.standard_normal(300), x])
+        s = ts(rng.standard_normal(300), label="s")
+        w = LagWindow(0, 3)
+        design = decoder.build_design(rec, w)
+        gram = design.T @ design
+        lam = np.float64(0.5 * gram.shape[0] * eps * np.linalg.eigh(gram)[0][-1])
+        with pytest.raises(SingularSystem) as raised:
+            train(rec, s, w, lam)
+        assert f"lambda={float(lam)!r}" in str(raised.value)
+        assert "np.float64" not in str(raised.value)
+
     def test_recovery_error_shrinks_with_n(self):
         errs = {1000: [], 100000: []}
         for seed in range(20):

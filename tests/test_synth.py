@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +242,32 @@ class TestScenarioRecursions:
         assert abs(s[0, 0] - 1.0) < 1e-6
 
 
+#: 75 trials, two generation batches (synth._SCENARIO_BATCH is 60).
+TWO_BATCH_SCENARIO = AadScenario(n_samples=150, n_trials=25, n_subjects=3, n_channels=3, seed=4)
+TWO_BATCH_DIGEST = "270719c6ed34bab9a750a5a78bbc5a7806001ae63dcc6139ef540ceb77b59d21"
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs look usable, so a pool uses up to ``n`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def samples_digest(trials) -> str:
+    """SHA-256 over every trial's identity, series labels and sample bytes."""
+    h = hashlib.sha256()
+    for t in trials:
+        h.update(f"{t.subject_id}/{t.trial_id}".encode())
+        for series in (t.attended, t.distractor, *t.eeg.channels):
+            h.update(series.label.encode())
+            h.update(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def shared_mappings() -> int:
+    """Anonymous shared mappings of this process (Linux: ``/dev/zero``)."""
+    return Path("/proc/self/maps").read_text().count("/dev/zero")
+
+
 class TestAadScenario:
     def test_invariants(self):
         with pytest.raises(ShapeMismatch):
@@ -276,36 +304,34 @@ class TestAadScenario:
             (AadScenario(n_samples=700, n_trials=4, n_subjects=2, n_channels=3, seed=5),
              "eb9a9fd6bf88338e22b36a8687d6d7ac28c57c826674e832f37e5613f8a7823e"),
             # 75 trials: a subject's trials fall in two filter batches
-            (AadScenario(n_samples=150, n_trials=25, n_subjects=3, n_channels=3, seed=4),
-             "270719c6ed34bab9a750a5a78bbc5a7806001ae63dcc6139ef540ceb77b59d21"),
+            (TWO_BATCH_SCENARIO, TWO_BATCH_DIGEST),
         ],
     )
-    def test_samples_match_recorded_digest(self, scenario, digest):
-        # digests of the samples as generated with scipy.signal.lfilter
-        h = hashlib.sha256()
-        for t in make_aad_scenario(scenario):
-            h.update(f"{t.subject_id}/{t.trial_id}".encode())
-            for series in (t.attended, t.distractor, *t.eeg.channels):
-                h.update(series.label.encode())
-                h.update(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
-        assert h.hexdigest() == digest
+    def test_samples_match_recorded_digest(self, scenario, digest, monkeypatch):
+        # digests of the samples as generated with scipy.signal.lfilter; the
+        # 75-trial case makes two batches, which run in a pool at 2 CPUs
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            assert samples_digest(make_aad_scenario(scenario)) == digest
 
-    def test_subject_subset_matches_the_full_scenario(self):
+    def test_subject_subset_matches_the_full_scenario(self, monkeypatch):
         # 75 trials: the full run filters them in batches of 60, which split
         # s03's trials; a subset is batched differently
-        sc = AadScenario(n_samples=150, n_trials=25, n_subjects=3, n_channels=3, seed=4)
-        full = make_aad_scenario(sc)
-        for subjects in ([1], [2, 0], range(3), []):
-            part = make_aad_scenario(sc, subjects=subjects)
-            want = [t for s in subjects for t in full[25 * s : 25 * (s + 1)]]
-            assert [(t.subject_id, t.trial_id) for t in part] == [
-                (t.subject_id, t.trial_id) for t in want
-            ]
-            for a, b in zip(part, want):
-                assert a.eeg == b.eeg and a.attended == b.attended and a.distractor == b.distractor
-        for subjects in ([3], [-1]):
-            with pytest.raises(ShapeMismatch, match="subjects must be in 0..2"):
-                make_aad_scenario(sc, subjects=subjects)
+        sc = TWO_BATCH_SCENARIO
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            full = make_aad_scenario(sc)
+            for subjects in ([1], [2, 0], range(3), []):
+                part = make_aad_scenario(sc, subjects=subjects)
+                want = [t for s in subjects for t in full[25 * s : 25 * (s + 1)]]
+                assert [(t.subject_id, t.trial_id) for t in part] == [
+                    (t.subject_id, t.trial_id) for t in want
+                ]
+                for a, b in zip(part, want):
+                    assert a.eeg == b.eeg and a.attended == b.attended and a.distractor == b.distractor
+            for subjects in ([3], [-1]):
+                with pytest.raises(ShapeMismatch, match="subjects must be in 0..2"):
+                    make_aad_scenario(sc, subjects=subjects)
 
     def test_import_leaves_scipy_signal_and_stats_unloaded(self):
         src = Path(synth.__file__).resolve().parents[1]
@@ -405,3 +431,47 @@ class TestAadScenario:
             med_te.append(float(np.median(tes)))
         assert all(b > a for a, b in zip(med_rho, med_rho[1:]))
         assert all(b > a for a, b in zip(med_te, med_te[1:]))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers need the fork start method"
+)
+class TestScenarioWorkers:
+    def test_batches_run_in_other_processes(self, tmp_path, monkeypatch):
+        fill_batch = synth._fill_batch
+
+        def fill_and_record(*args):
+            (tmp_path / str(os.getpid())).touch()
+            fill_batch(*args)
+
+        monkeypatch.setattr(synth, "_fill_batch", fill_and_record)
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            for path in tmp_path.iterdir():
+                path.unlink()
+            assert samples_digest(make_aad_scenario(TWO_BATCH_SCENARIO)) == TWO_BATCH_DIGEST
+            pids = {int(path.name) for path in tmp_path.iterdir()}
+            if n == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert pids and os.getpid() not in pids
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="needs /proc/self/maps")
+    def test_failed_batch_reraises_and_closes_every_mapping(self, monkeypatch):
+        # the drive filter fails while the batch's arrays view its mapping
+        ar_filter = synth._ar_filter
+
+        def failing_drive_filter(y, taps):
+            if len(taps) == 1:
+                raise RuntimeError("planted")
+            return ar_filter(y, taps)
+
+        monkeypatch.setattr(synth, "_ar_filter", failing_drive_filter)
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            before = shared_mappings()
+            with pytest.raises(RuntimeError, match="^planted$"):
+                make_aad_scenario(TWO_BATCH_SCENARIO)
+            assert shared_mappings() == before
+            assert multiprocessing.active_children() == []
