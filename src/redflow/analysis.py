@@ -108,8 +108,10 @@ def kde_pdf(samples, eval_grid) -> np.ndarray:
     h = silverman_bandwidth(samples)
     norm = 1.0 / (samples.size * h * math.sqrt(2.0 * math.pi))
     out = np.empty(grid.size)
-    # chunk the grid so the (grid x samples) kernel matrix stays small
-    chunk = max(1, int(4_000_000 // max(samples.size, 1)))
+    # chunk the grid so each (grid x samples) temporary stays near 64 KB
+    # (8,192 doubles; one row at a time past that many samples); each grid
+    # row sums the same terms in any chunk, so the chunking changes no value
+    chunk = max(1, 8_192 // samples.size)
     for lo in range(0, grid.size, chunk):
         z = (grid[lo : lo + chunk, None] - samples[None, :]) / h
         out[lo : lo + chunk] = norm * np.exp(-0.5 * z * z).sum(axis=1)

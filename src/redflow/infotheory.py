@@ -24,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateCovariance, SeriesTooShort, ShapeMismatch, TooFewSamples
 from .signals import TimeSeries, lag_view
@@ -61,6 +62,25 @@ class EmbedSpec:
         return asdict(self)
 
 
+def _rank_certified(covs: np.ndarray) -> bool:
+    """Whether every covariance C of a finite stack passes the rank test of
+    :func:`_cmi_bits`, shown by a Cholesky factor of C - 2 _RANK_RTOL tr(C) I.
+
+    The factor exists only if lambda_min > 2 _RANK_RTOL tr(C) >=
+    2 _RANK_RTOL lambda_max, which clears the test with a margin of
+    _RANK_RTOL lambda_max for the factorisation's rounding. False says
+    nothing: the eigenvalues decide then.
+    """
+    diagonal = np.arange(covs.shape[1])
+    shifted = covs.copy()
+    shifted[:, diagonal, diagonal] -= 2.0 * _RANK_RTOL * np.trace(covs, axis1=1, axis2=2)[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
     """I(X; Y | C) in bits, clamped at zero, for each covariance of a
     (k, dim, dim) stack in [C, X, Y] column order: the one covariance solve.
@@ -68,14 +88,16 @@ def _cmi_bits(covs: np.ndarray, dx: int, dy: int, names) -> np.ndarray:
     A DegenerateCovariance names the first matrix that is not finite, or else
     the first with lambda_min < _RANK_RTOL * lambda_max, with its position
     in the stack as ``index``; past these checks both Cholesky factorisations
-    succeed. The last dy rows of the Cholesky factor L hold both residual
-    covariances: Cov(Y | C, X) = L_YY L_YY' and Cov(Y | C) = L_YX L_YX' +
-    L_YY L_YY', so I = 0.5 log2(det Cov(Y | C) / det Cov(Y | C, X)) needs one
-    more dy x dy factorisation and no difference of large log-determinants.
+    succeed. The eigenvalues are computed only where :func:`_rank_certified`
+    cannot vouch for the whole stack. The last dy rows of the Cholesky factor
+    L hold both residual covariances: Cov(Y | C, X) = L_YY L_YY' and
+    Cov(Y | C) = L_YX L_YX' + L_YY L_YY', so I = 0.5 log2(det Cov(Y | C) /
+    det Cov(Y | C, X)) needs one more dy x dy factorisation and no
+    difference of large log-determinants.
     """
     finite = np.isfinite(covs).all(axis=(1, 2))
     why, bad = "is not finite", ~finite
-    if finite.all():
+    if finite.all() and not _rank_certified(covs):
         eigs = np.linalg.eigvalsh(covs)
         bad = (eigs[:, -1] <= 0.0) | (eigs[:, 0] < _RANK_RTOL * eigs[:, -1])
         why = ("is numerically rank-deficient; "
@@ -202,13 +224,14 @@ def transfer_entropies(x: np.ndarray, pairs, e: EmbedSpec, names) -> np.ndarray:
     order = np.r_[cols[past], width + cols[src], cols[present]]
     gather = np.ix_(order, order)
     rows = n - width + 1
-    windows = np.empty((x.shape[0], width, rows))
-    for i in {i for pair in pairs for i in pair}:
-        # the transposed lag window: row c is window column c over all rows
-        window = lag_view(x[i], 0, width, rows)
-        np.subtract(window, window.mean(axis=1, keepdims=True), out=windows[i])
+    used = sorted({i for pair in pairs for i in pair})
+    at = {i: u for u, i in enumerate(used)}
+    # the transposed lag windows: windows[at[i], c] is window column c of
+    # row i over all rows; each Gram block is its own matmul
+    view = sliding_window_view(x[used], rows, axis=1)
+    windows = view - view.mean(axis=2, keepdims=True)
     needed = {ab for i, j in pairs for ab in ((i, i), (i, j), (j, j))}
-    grams = {(a, b): windows[a] @ windows[b].T for a, b in needed}
+    grams = {(a, b): windows[at[a]] @ windows[at[b]].T for a, b in needed}
     g_jj = np.stack([grams[j, j] for i, j in pairs])
     g_ij = np.stack([grams[i, j] for i, j in pairs])
     g_ii = np.stack([grams[i, i] for i, j in pairs])

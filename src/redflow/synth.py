@@ -369,9 +369,20 @@ def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
 
 
 def _read_batch(sc: AadScenario, rate_hz: float, batch: list, mapping) -> list:
-    """The :class:`TrialData` of a filled batch, copied out of its mapping."""
+    """The :class:`TrialData` of a filled batch, copied out of its mapping.
+
+    Where ``mmap`` has ``MADV_REMOVE``, each trial's copy is followed by
+    freeing the whole pages of both buffers that lie below that trial's end,
+    so the batch's shared pages are not held beside their copies. Only the
+    page the two buffers share and the mapping's last partial page are left
+    to :func:`_release`."""
     labels = _channel_labels(sc.n_channels)
     env, drive = _batch_arrays(sc, len(batch), mapping)
+    page = mmap.PAGESIZE
+    # each buffer's offset in the mapping and bytes per trial, and the first
+    # byte not yet freed, from the buffer's first whole page
+    layout = ((0, env[0].nbytes), (env.nbytes, drive[0].nbytes))
+    freed = [-(-offset // page) * page for offset, _ in layout]
     trials = []
     for i, (s, tr) in enumerate(batch):
         attended, distractor = env[i, :2, 2 + _SCENARIO_BURN:]
@@ -384,6 +395,12 @@ def _read_batch(sc: AadScenario, rate_hz: float, batch: list, mapping) -> list:
                 eeg=MultichannelRecording(labels, rate_hz, drive[i, :, _SCENARIO_BURN:]),
             )
         )
+        if hasattr(mmap, "MADV_REMOVE"):
+            for b, (offset, trial_bytes) in enumerate(layout):
+                end = (offset + (i + 1) * trial_bytes) // page * page
+                if end > freed[b]:
+                    mapping.madvise(mmap.MADV_REMOVE, freed[b], end - freed[b])
+                    freed[b] = end
     return trials
 
 
@@ -417,9 +434,10 @@ def _shared_mappings(sizes):
 def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> list:
     """Generate the trials of a scenario, deterministically from its seed.
 
-    Returns a list of :class:`TrialData`, ordered by subject then trial, of
-    the ``subjects`` (0-based indices) or of all; a subject's trials do not
-    depend on which others are generated.
+    Returns a list of :class:`TrialData` of the ``subjects`` (distinct
+    0-based indices, in the order given) or of all subjects in order, each
+    subject's trials in trial order; a subject's trials do not depend on
+    which others are generated.
     Channel generation per trial: each channel is an AR(1) (coefficient
     drawn per channel) driven by lag-1/lag-2 taps of both envelopes, a
     shared common-noise channel mix, and white observation noise.
@@ -429,13 +447,15 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> 
     :func:`~redflow.workers._pool`: with more than one batch and more than
     one usable CPU, forked workers fill the batches in anonymous shared
     mappings made before the fork, and the parent copies the trials out in
-    batch order, then frees each batch's pages. Every trial draws from its
-    own substream, so neither the batching nor the worker count changes a
-    sample.
+    batch order, freeing a batch's pages as it copies them. Every trial
+    draws from its own substream, so neither the batching nor the worker
+    count changes a sample.
     """
-    chosen = range(sc.n_subjects) if subjects is None else subjects
+    chosen = list(range(sc.n_subjects) if subjects is None else subjects)
     if not set(chosen) <= set(range(sc.n_subjects)):
-        raise ShapeMismatch(f"subjects must be in 0..{sc.n_subjects - 1}, got {list(chosen)}")
+        raise ShapeMismatch(f"subjects must be in 0..{sc.n_subjects - 1}, got {chosen}")
+    if len(set(chosen)) != len(chosen):
+        raise ShapeMismatch(f"subjects must not repeat, got {chosen}")
     params = {s: _subject_parameters(sc, s) for s in chosen}
     keys = [(s, tr) for s in chosen for tr in range(sc.n_trials)]
     batches = [keys[start : start + _SCENARIO_BATCH] for start in range(0, len(keys), _SCENARIO_BATCH)]

@@ -105,6 +105,18 @@ class TestKde:
         dens = kde_pdf(x, default_grid(x))
         assert np.all(dens >= 0.0)
 
+    @pytest.mark.parametrize("n, every", [(5, 1), (900, 1), (9_000, 4)])
+    def test_chunked_grid_equals_one_kernel_matrix(self, n, every):
+        # the oracle evaluates the whole (grid x samples) kernel matrix at
+        # once; kde_pdf chunks the grid (here 512 // every points; one row
+        # per chunk past 8,192 samples) and must sum each row the same way
+        x = np.random.default_rng(14).gamma(2.0, size=n)
+        grid = default_grid(x)[::every]
+        h = silverman_bandwidth(x)
+        z = (grid[:, None] - x[None, :]) / h
+        want = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z).sum(axis=1)
+        assert np.array_equal(kde_pdf(x, grid), want)
+
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             kde_pdf([1.0, 2.0, 3.0, 4.0], [0.0])

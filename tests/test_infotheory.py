@@ -12,7 +12,7 @@ from redflow.errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from redflow import synth
+from redflow import cli, synth
 from redflow.infotheory import (
     EmbedSpec,
     _cmi_bits,
@@ -328,6 +328,92 @@ class TestClosedFormAccuracy:
             exact.append(0.5 * math.log1p(b @ noise @ b) / math.log(2))
         values = _cmi_bits(np.stack(covs), d, 1, ["model"] * len(covs))
         assert np.abs(values - np.array(exact)).max() <= 1e-13
+
+
+def eigenvalue_tested_cmi(covs, dx, dy):
+    """The solve with the rank test always read from the eigenvalues (the
+    certificate-free path), as a test-local oracle; None where it refuses."""
+    eigs = np.linalg.eigvalsh(covs)
+    if ((eigs[:, -1] <= 0.0) | (eigs[:, 0] < 1e-12 * eigs[:, -1])).any():
+        return None
+    rows = np.linalg.cholesky(covs)[:, -dy:]
+    l_yx, l_yy = rows[:, :, -dx - dy : -dy], rows[:, :, -dy:]
+    l_y_c = np.linalg.cholesky(l_yx @ l_yx.transpose(0, 2, 1) + l_yy @ l_yy.transpose(0, 2, 1))
+    ratios = np.diagonal(l_y_c, axis1=1, axis2=2) / np.diagonal(l_yy, axis1=1, axis2=2)
+    values = np.log(ratios).sum(axis=1) / math.log(2)
+    return np.where(values > 0.0, values, 0.0)
+
+
+class TestRankCertificate:
+    """The Cholesky certificate of :func:`_cmi_bits` and its eigenvalue
+    fallback, on 17 x 17 covariances (an 8/8 TE) of set spectra."""
+
+    DIM = 17
+    NAMES = ("first", "second", "third")
+
+    def spectrum_cov(self, seed, ratio):
+        """A symmetric matrix with eigenvalues from 1 down to ``|ratio|``,
+        log-spaced, the last one ``ratio``, in a random orthonormal basis."""
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((self.DIM, self.DIM)))
+        eigs = np.geomspace(1.0, abs(ratio), self.DIM)
+        eigs[-1] = ratio
+        cov = q @ np.diag(eigs) @ q.T
+        return 0.5 * (cov + cov.T)
+
+    def stack(self, middle):
+        return np.stack([self.spectrum_cov(40, 1e-3), middle, self.spectrum_cov(41, 1e-2)])
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_fallback_accepts_a_stack_the_certificate_cannot(self, eigvalsh_calls):
+        # lambda_min / lambda_max = 1.5e-12 passes the rank test (1e-12) but
+        # not the certificate (> 2e-12 of the trace)
+        covs = self.stack(self.spectrum_cov(42, 1.5e-12))
+        eigs = np.linalg.eigvalsh(covs[1])
+        assert 1e-12 < eigs[0] / eigs[-1] < 2e-12
+        eigvalsh_calls.clear()
+        want = eigenvalue_tested_cmi(covs, 8, 1)
+        got = _cmi_bits(covs, 8, 1, self.NAMES)
+        assert want is not None and np.array_equal(got, want)
+        assert len(eigvalsh_calls) == 2  # the oracle's and the fallback's
+
+    def test_certified_stack_skips_the_eigenvalues(self, eigvalsh_calls):
+        covs = self.stack(self.spectrum_cov(42, 1e-6))
+        got = _cmi_bits(covs, 8, 1, self.NAMES)
+        assert eigvalsh_calls == []
+        assert np.array_equal(got, eigenvalue_tested_cmi(covs, 8, 1))
+
+    @pytest.mark.parametrize("sign, ratio", [(1.0, 5e-13), (1.0, -1e-3), (-1.0, 1e-3)])
+    def test_refused_as_before(self, sign, ratio):
+        # 5e-13 fails the rank test; the other two are not positive definite,
+        # the last one is negative definite
+        covs = self.stack(sign * self.spectrum_cov(42, ratio))
+        assert eigenvalue_tested_cmi(covs, 8, 1) is None
+        with pytest.raises(
+            DegenerateCovariance,
+            match=r"^covariance of second is numerically rank-deficient; the Gaussian information "
+            r"quantity diverges \(deterministic dependence\?\)$",
+        ) as caught:
+            _cmi_bits(covs, 8, 1, self.NAMES)
+        assert caught.value.index == 1
+
+    def test_default_config_trials_compute_no_eigenvalues(self, eigvalsh_calls):
+        # one subject of the default scenario, trained and rated at the
+        # default 16/16 embedding, in this process
+        config = cli.config_from_dict({})
+        records = cli._analyze_subject(config, ("attended", "distractor"), 0)
+        assert len(records) == 2 * config.n_trials
+        assert eigvalsh_calls == []
 
 
 class TestPlugInBias:

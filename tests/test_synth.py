@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import mmap
 import multiprocessing
 import os
 import subprocess
@@ -332,6 +333,9 @@ class TestAadScenario:
             for subjects in ([3], [-1]):
                 with pytest.raises(ShapeMismatch, match="subjects must be in 0..2"):
                     make_aad_scenario(sc, subjects=subjects)
+            for subjects in ([1, 1], [2, 0, 2]):
+                with pytest.raises(ShapeMismatch, match=r"subjects must not repeat, got \["):
+                    make_aad_scenario(sc, subjects=subjects)
 
     def test_import_leaves_scipy_signal_and_stats_unloaded(self):
         src = Path(synth.__file__).resolve().parents[1]
@@ -456,6 +460,31 @@ class TestScenarioWorkers:
             else:
                 assert pids and os.getpid() not in pids
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_REMOVE"), reason="needs MADV_REMOVE")
+    def test_read_batch_frees_every_whole_page_it_copied(self):
+        # both batches of the 75-trial scenario, filled in-process; a trial's
+        # envelopes take 8,448 bytes and its drives 8,400, so trial
+        # boundaries fall inside pages
+        sc, page = TWO_BATCH_SCENARIO, mmap.PAGESIZE
+        keys = [(s, tr) for s in range(sc.n_subjects) for tr in range(sc.n_trials)]
+        params = {s: synth._subject_parameters(sc, s) for s in range(sc.n_subjects)}
+        trials = []
+        for batch in (keys[:60], keys[60:]):
+            env_shape, drive_shape = synth._batch_shapes(sc, len(batch))
+            env_bytes, size = 8 * math.prod(env_shape), 8 * (math.prod(env_shape) + math.prod(drive_shape))
+            with synth._shared_mappings([size]) as (mapping,):
+                synth._fill_batch(sc, params, batch, mapping)
+                trials += synth._read_batch(sc, 64.0, batch, mapping)
+                data = np.frombuffer(mapping, dtype=np.uint8)
+                env_end, drive_start = env_bytes // page * page, -(-env_bytes // page) * page
+                drive_end = size // page * page
+                # every whole page of each buffer is freed; the page the two
+                # buffers share and the last partial page keep their samples
+                assert not data[:env_end].any() and not data[drive_start:drive_end].any()
+                assert data[env_end:drive_start].any() and data[drive_end:].any()
+                del data
+        assert samples_digest(trials) == TWO_BATCH_DIGEST
 
     @pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="needs /proc/self/maps")
     def test_failed_batch_reraises_and_closes_every_mapping(self, monkeypatch):
