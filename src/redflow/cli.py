@@ -495,10 +495,12 @@ def _write_trial(data_dir: Path, stamp: dict, trial: synth.TrialData) -> None:
 def _write_dataset(config: RunConfig, data_dir: Path, trials, conditions=()) -> list:
     """The directories, then one :func:`_pool`: given ``conditions``, a task
     per subject that trains and rates it, dispatched first as the longest,
-    and a task per trial that writes its files. The writes are read first,
-    then the manifest is written; returns the subjects' (decoders, records)."""
+    and a task per trial that writes its files. Any earlier manifest is
+    deleted first, and the new one written after the writes are read, so a
+    failed run leaves none; returns the subjects' (decoders, records)."""
     subjects = sorted({t.subject_id for t in trials})
     data_dir.mkdir(parents=True, exist_ok=True)
+    (data_dir / "manifest.json").unlink(missing_ok=True)
     for subject in subjects:
         (data_dir / subject).mkdir(exist_ok=True)
     groups = _by_subject(trials) if conditions else []

@@ -293,9 +293,9 @@ _SCENARIO_BURN = 200
 
 #: Trials whose series make_aad_scenario filters together, one task of its
 #: pool. Each filter step has a fixed cost, so more series per step is
-#: faster; a batch's shared mapping takes 15 MB at 6 channels and 3,400
-#: samples, and a scenario with more batches than one spreads them over
-#: the pool's workers.
+#: faster; a batch's share of the scenario's shared mapping is 15 MB at 6
+#: channels and 3,400 samples, and a scenario with more batches than one
+#: spreads them over the pool's workers.
 _SCENARIO_BATCH = 60
 
 
@@ -314,27 +314,28 @@ def _subject_parameters(sc: AadScenario, s: int) -> tuple:
     return att_gain, dist_gain, att_taps, dist_taps, ar_coefs, common_gains
 
 
-def _batch_shapes(sc: AadScenario, n_trials: int) -> tuple:
-    """Shapes of a batch's two float64 buffers, laid out in that order in its
-    mapping: envelope innovations (trial, [att, dist, common], time) after
-    two zero samples, and channel drives (trial, channel, time)."""
-    total = sc.n_samples + _SCENARIO_BURN
-    return (n_trials, 3, 2 + total), (n_trials, sc.n_channels, total)
+def _scenario_shape(sc: AadScenario, n_trials: int) -> tuple:
+    """Shape of the float64 array that ``n_trials`` generated trials fill:
+    (trial, 3 + n_channels, 2 + burn-in + n_samples). A trial's rows are its
+    attended, distractor and common envelope innovations, then one drive per
+    channel; every row starts with two zero samples, which the lagged
+    envelope views need and the drive rows skip."""
+    return n_trials, 3 + sc.n_channels, 2 + sc.n_samples + _SCENARIO_BURN
 
 
-def _batch_arrays(sc: AadScenario, n_trials: int, mapping) -> tuple:
-    """The envelope and drive buffers of a batch, as views of its mapping."""
-    env_shape, drive_shape = _batch_shapes(sc, n_trials)
-    env = np.ndarray(env_shape, buffer=mapping)
-    return env, np.ndarray(drive_shape, buffer=mapping, offset=env.nbytes)
+def _scenario_array(sc: AadScenario, mapping) -> np.ndarray:
+    """The array of :func:`_scenario_shape` that fills ``mapping``."""
+    trial_bytes = 8 * math.prod(_scenario_shape(sc, 1))
+    return np.ndarray(_scenario_shape(sc, len(mapping) // trial_bytes), buffer=mapping)
 
 
-def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
+def _fill_batch(sc: AadScenario, params: dict, start: int, batch: list, mapping) -> None:
     """Draw, filter and assemble the trials ``batch`` ((subject, trial) keys)
-    in place in their zero-filled mapping (:func:`_batch_shapes`).
+    in place, as trials ``start`` onwards of the zero-filled scenario array
+    in ``mapping`` (:func:`_scenario_array`).
 
-    The filter runs through the envelope buffer's two leading zeros and
-    leaves them +0.0, so the envelopes one and two samples late are views.
+    The filter runs through the envelope rows' two leading zeros and leaves
+    them +0.0, so the envelopes one and two samples late are views.
     Each series is contiguous for the per-trial work; the filters take a
     time-first view. The shared component is slow (same band as the
     envelopes) so channels are redundant even without stimulus coupling;
@@ -343,8 +344,9 @@ def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
     """
     env_scale = _ar2_unit_variance_scale(_ENV_A1, _ENV_A2)
     total = sc.n_samples + _SCENARIO_BURN
-    env, drive = _batch_arrays(sc, len(batch), mapping)
-    # the observation noise goes straight into the drive buffer
+    block = _scenario_array(sc, mapping)[start : start + len(batch)]
+    env, drive = block[:, :3], block[:, 3:, 2:]
+    # the observation noise goes straight into the drive rows
     trial_scales = []
     for i, (s, tr) in enumerate(batch):
         trng = substream(sc.seed, _TRIAL_STREAM + s * _MAX_TRIALS + tr)
@@ -356,7 +358,7 @@ def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
     for i, ((s, _), trial_scale) in enumerate(zip(batch, trial_scales)):
         att_gain, dist_gain, att_taps, dist_taps, _, common_gains = params[s]
         (att_l1, dist_l1), (att_l2, dist_l2) = env[i, :2, 1:-1], env[i, :2, :-2]
-        # one row per channel, with its taps as columns; the buffer holds
+        # one row per channel, with its taps as columns; the drive rows hold
         # the observation noise, the last term of the drive, and adding
         # it in place rounds the same (a + b == b + a)
         drive[i] += (
@@ -368,67 +370,50 @@ def _fill_batch(sc: AadScenario, params: dict, batch: list, mapping) -> None:
     _ar_filter(np.moveaxis(drive, -1, 0), (ar_coefs,))
 
 
-def _read_batch(sc: AadScenario, rate_hz: float, batch: list, mapping) -> list:
-    """The :class:`TrialData` of a filled batch, copied out of its mapping.
+def _read_batch(sc: AadScenario, rate_hz: float, start: int, batch: list, mapping) -> list:
+    """The :class:`TrialData` of a filled batch (trials ``start`` onwards of
+    the scenario array in ``mapping``), copied out.
 
     Where ``mmap`` has ``MADV_REMOVE``, each trial's copy is followed by
-    freeing the whole pages of both buffers that lie below that trial's end,
-    so the batch's shared pages are not held beside their copies. Only the
-    page the two buffers share and the mapping's last partial page are left
-    to :func:`_release`."""
+    freeing the whole pages below that trial's end, from the page boundary
+    below its start (the earlier trials freed those before it), so the
+    shared pages are not held beside their copies. Only the mapping's last
+    partial page is left until it closes."""
     labels = _channel_labels(sc.n_channels)
-    env, drive = _batch_arrays(sc, len(batch), mapping)
-    page = mmap.PAGESIZE
-    # each buffer's offset in the mapping and bytes per trial, and the first
-    # byte not yet freed, from the buffer's first whole page
-    layout = ((0, env[0].nbytes), (env.nbytes, drive[0].nbytes))
-    freed = [-(-offset // page) * page for offset, _ in layout]
+    scenario = _scenario_array(sc, mapping)
+    page, trial_bytes = mmap.PAGESIZE, scenario[0].nbytes
     trials = []
-    for i, (s, tr) in enumerate(batch):
-        attended, distractor = env[i, :2, 2 + _SCENARIO_BURN:]
+    for i, (s, tr) in enumerate(batch, start):
+        attended, distractor = scenario[i, :2, 2 + _SCENARIO_BURN :]
         trials.append(
             TrialData(
                 subject_id=f"s{s + 1:02d}",
                 trial_id=f"t{tr + 1:03d}",
                 attended=TimeSeries("attended_envelope", rate_hz, attended),
                 distractor=TimeSeries("distractor_envelope", rate_hz, distractor),
-                eeg=MultichannelRecording(labels, rate_hz, drive[i, :, _SCENARIO_BURN:]),
+                eeg=MultichannelRecording(labels, rate_hz, scenario[i, 3:, 2 + _SCENARIO_BURN :]),
             )
         )
-        if hasattr(mmap, "MADV_REMOVE"):
-            for b, (offset, trial_bytes) in enumerate(layout):
-                end = (offset + (i + 1) * trial_bytes) // page * page
-                if end > freed[b]:
-                    mapping.madvise(mmap.MADV_REMOVE, freed[b], end - freed[b])
-                    freed[b] = end
+        low, high = i * trial_bytes // page * page, (i + 1) * trial_bytes // page * page
+        if high > low and hasattr(mmap, "MADV_REMOVE"):
+            mapping.madvise(mmap.MADV_REMOVE, low, high - low)
     return trials
 
 
-def _release(mapping) -> None:
-    """Free a mapping's pages, in every process that maps it, and close it."""
-    if not mapping.closed:
-        if hasattr(mmap, "MADV_REMOVE"):
-            mapping.madvise(mmap.MADV_REMOVE)
-        mapping.close()
-
-
 @contextmanager
-def _shared_mappings(sizes):
-    """Yields one zero-filled anonymous shared mapping of each size in bytes,
-    which forked workers inherit; each is released on leaving, on error too.
-    An in-process task's error holds its frames, whose arrays would keep a
+def _shared_mapping(size: int):
+    """Yields a zero-filled anonymous shared mapping of ``size`` bytes, which
+    forked workers inherit; it is closed on leaving, on error too. An
+    in-process task's error holds its frames, whose arrays would keep the
     mapping from closing: their locals are cleared first."""
-    mappings = []
+    mapping = mmap.mmap(-1, size)
     try:
-        for size in sizes:
-            mappings.append(mmap.mmap(-1, size))
-        yield mappings
+        yield mapping
     except BaseException as exc:
         traceback.clear_frames(exc.__traceback__)
         raise
     finally:
-        for mapping in mappings:
-            _release(mapping)
+        mapping.close()
 
 
 def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> list:
@@ -444,28 +429,29 @@ def make_aad_scenario(sc: AadScenario, rate_hz: float = 64.0, subjects=None) -> 
 
     Trials are generated in batches of up to ``_SCENARIO_BATCH``, whose
     series are filtered together, each batch one task of a
-    :func:`~redflow.workers._pool`: with more than one batch and more than
-    one usable CPU, forked workers fill the batches in anonymous shared
-    mappings made before the fork, and the parent copies the trials out in
-    batch order, freeing a batch's pages as it copies them. Every trial
-    draws from its own substream, so neither the batching nor the worker
-    count changes a sample.
+    :func:`~redflow.workers._pool`. Every batch fills its trials of one
+    anonymous shared mapping made before the pool forks (with more than one
+    batch and more than one usable CPU, in forked workers). The parent
+    copies the trials out in batch order, frees the shared pages trial by
+    trial as it copies them, and closes the mapping once the pool has shut
+    down. Every trial draws from its own substream, so neither the batching
+    nor the worker count changes a sample.
     """
     chosen = list(range(sc.n_subjects) if subjects is None else subjects)
     if not set(chosen) <= set(range(sc.n_subjects)):
         raise ShapeMismatch(f"subjects must be in 0..{sc.n_subjects - 1}, got {chosen}")
     if len(set(chosen)) != len(chosen):
         raise ShapeMismatch(f"subjects must not repeat, got {chosen}")
+    if not chosen:
+        return []
     params = {s: _subject_parameters(sc, s) for s in chosen}
     keys = [(s, tr) for s in chosen for tr in range(sc.n_trials)]
-    batches = [keys[start : start + _SCENARIO_BATCH] for start in range(0, len(keys), _SCENARIO_BATCH)]
-    sizes = [8 * sum(math.prod(shape) for shape in _batch_shapes(sc, len(b))) for b in batches]
+    batches = [(i, keys[i : i + _SCENARIO_BATCH]) for i in range(0, len(keys), _SCENARIO_BATCH)]
     trials = []
-    with _shared_mappings(sizes) as mappings:
-        tasks = [partial(_fill_batch, sc, params, b, m) for b, m in zip(batches, mappings)]
+    with _shared_mapping(8 * math.prod(_scenario_shape(sc, len(keys)))) as mapping:
+        tasks = [partial(_fill_batch, sc, params, *batch, mapping) for batch in batches]
         with _pool(tasks) as results:
-            for batch, mapping, result in zip(batches, mappings, results):
+            for batch, result in zip(batches, results):
                 result()
-                trials += _read_batch(sc, rate_hz, batch, mapping)
-                _release(mapping)
+                trials += _read_batch(sc, rate_hz, *batch, mapping)
     return trials

@@ -449,6 +449,9 @@ class TestScenarioWorkers:
             fill_batch(*args)
 
         monkeypatch.setattr(synth, "_fill_batch", fill_and_record)
+        # the mapping counts need /proc; the pid and digest checks do not
+        maps = Path("/proc/self/maps").is_file()
+        before = shared_mappings() if maps else None
         for n in (1, 2):
             use_cpus(monkeypatch, n)
             for path in tmp_path.iterdir():
@@ -460,29 +463,38 @@ class TestScenarioWorkers:
             else:
                 assert pids and os.getpid() not in pids
             assert multiprocessing.active_children() == []
+            assert not maps or shared_mappings() == before
+        # where mmap has no MADV_REMOVE, no page is freed before the close
+        monkeypatch.delattr(mmap, "MADV_REMOVE", raising=False)
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            assert samples_digest(make_aad_scenario(TWO_BATCH_SCENARIO)) == TWO_BATCH_DIGEST
+            assert not maps or shared_mappings() == before
 
     @pytest.mark.skipif(not hasattr(mmap, "MADV_REMOVE"), reason="needs MADV_REMOVE")
     def test_read_batch_frees_every_whole_page_it_copied(self):
-        # both batches of the 75-trial scenario, filled in-process; a trial's
-        # envelopes take 8,448 bytes and its drives 8,400, so trial
-        # boundaries fall inside pages
+        # both batches of the 75-trial scenario, filled in-process in one
+        # mapping; a trial takes 16,896 bytes, so trial boundaries fall
+        # inside pages
         sc, page = TWO_BATCH_SCENARIO, mmap.PAGESIZE
         keys = [(s, tr) for s in range(sc.n_subjects) for tr in range(sc.n_trials)]
         params = {s: synth._subject_parameters(sc, s) for s in range(sc.n_subjects)}
+        shape = synth._scenario_shape(sc, len(keys))
+        trial_bytes = 8 * math.prod(shape[1:])
+        batches = [(0, keys[:60]), (60, keys[60:])]
         trials = []
-        for batch in (keys[:60], keys[60:]):
-            env_shape, drive_shape = synth._batch_shapes(sc, len(batch))
-            env_bytes, size = 8 * math.prod(env_shape), 8 * (math.prod(env_shape) + math.prod(drive_shape))
-            with synth._shared_mappings([size]) as (mapping,):
-                synth._fill_batch(sc, params, batch, mapping)
-                trials += synth._read_batch(sc, 64.0, batch, mapping)
+        with synth._shared_mapping(8 * math.prod(shape)) as mapping:
+            for start, batch in batches:
+                synth._fill_batch(sc, params, start, batch, mapping)
+            for start, batch in batches:
+                trials += synth._read_batch(sc, 64.0, start, batch, mapping)
                 data = np.frombuffer(mapping, dtype=np.uint8)
-                env_end, drive_start = env_bytes // page * page, -(-env_bytes // page) * page
-                drive_end = size // page * page
-                # every whole page of each buffer is freed; the page the two
-                # buffers share and the last partial page keep their samples
-                assert not data[:env_end].any() and not data[drive_start:drive_end].any()
-                assert data[env_end:drive_start].any() and data[drive_end:].any()
+                end = (start + len(batch)) * trial_bytes
+                # every whole page below the batch's last trial's end is
+                # freed; the bytes from that page boundary to the trial's end
+                # keep their samples
+                assert not data[: end // page * page].any()
+                assert data[end // page * page : end].any()
                 del data
         assert samples_digest(trials) == TWO_BATCH_DIGEST
 
